@@ -16,6 +16,12 @@ measures its reach:
   finer than symmetry -- which matches the related work's use of graph
   *fibrations* (Boldi et al.) rather than automorphisms for the
   deterministic characterization.
+
+The census visits orbit representatives, weighted: both solvability and
+the existence of a symmetry are invariant under relabelings that map
+source groups onto equal-size groups, so it sums the per-orbit rows of
+:func:`repro.analysis.worst_case_search.port_orbit_table` -- the same
+memoized table the worst-case search folds.
 """
 
 from __future__ import annotations
@@ -23,12 +29,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from ..core.leader_election import leader_election
-from ..chain import compile_chain
 from ..models.ports import PortAssignment
 from ..randomness.configuration import RandomnessConfiguration
 from .result import ExperimentResult
-from .worst_case_search import iter_all_port_assignments
+from .worst_case_search import port_orbit_table
 
 
 def source_preserving_automorphisms(
@@ -77,30 +81,20 @@ def symmetry_census(
     passed = True
     for shape in shapes:
         alpha = RandomnessConfiguration.from_group_sizes(shape)
-        task = leader_election(alpha.n)
         solvable_with_symmetry = 0
         unsolvable_with_symmetry = 0
         unsolvable_without_symmetry = 0
         solvable = 0
         total = 0
-        for ports in iter_all_port_assignments(alpha.n):
-            total += 1
-            # One-shot chains per enumerated assignment: skip the memo
-            # so the census does not pin thousands of chains in memory.
-            is_solvable = (
-                compile_chain(
-                    alpha, ports, use_memo=False
-                ).limit_solving_probability(task)
-                == 1
-            )
-            symmetric = has_nontrivial_automorphism(ports, alpha)
-            if is_solvable:
-                solvable += 1
-                solvable_with_symmetry += symmetric
+        for weight, limit, symmetric in port_orbit_table(tuple(shape)):
+            total += weight
+            if limit == 1:
+                solvable += weight
+                solvable_with_symmetry += weight * symmetric
             elif symmetric:
-                unsolvable_with_symmetry += 1
+                unsolvable_with_symmetry += weight
             else:
-                unsolvable_without_symmetry += 1
+                unsolvable_without_symmetry += weight
         # The sound direction must be exceptionless.
         ok = solvable_with_symmetry == 0
         # For gcd > 1 shapes the converse must visibly fail (that is the

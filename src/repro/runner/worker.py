@@ -45,12 +45,11 @@ from .spec import RunSpec, derive_seed, make_ports, make_task
 def exact_limit_value(
     chain: CompiledChain, task: SymmetryBreakingTask
 ) -> Fraction:
-    """The one exact chain evaluation every worker path shares.
+    """The one exact chain evaluation the per-job exact runs share.
 
-    Both the per-job exact runs and the port-chunk folds used to inline
-    their own ``ConsistencyChain(...)`` construction; routing them
-    through one helper over the batched query layer keeps the
-    evaluation semantics (and any future instrumentation) in one place.
+    Routing the runs through one helper over the batched query layer
+    keeps the evaluation semantics (and any future instrumentation) in
+    one place.
     """
     return run_queries(chain, [Query.limit(task)])[0]
 
@@ -411,40 +410,23 @@ def execute_sample_batch(payload: dict) -> dict:
 
 
 def execute_port_chunk(payload: dict) -> dict:
-    """Fold the exact solvability limit over a chunk of port assignments.
+    """Evaluate a chunk of port-orbit representatives in a pool worker.
 
-    ``payload`` is ``{"sizes": [...], "task": str, "tables": [...]}``
-    where each table is one clique port assignment; the record carries the
-    chunk's min/max limit and solvable/total counts for exact re-folding.
-
-    Each assignment in a chunk is visited exactly once, so its chain is
-    compiled unmemoized -- keeping thousands of one-shot chains out of
-    the process-wide memo.
+    ``payload`` is ``{"sizes": [...], "tables": [...]}`` plus the chain
+    context, where each table is one orbit representative (orbit
+    representatives, weighted: the parent holds the weights and folds).
+    The record carries one ``(limit, symmetric)`` row per representative,
+    limits as exact fraction strings -- the same rows
+    :func:`repro.analysis.worst_case_search.representative_rows` computes
+    in-process.
     """
-    from ..models.ports import PortAssignment
+    from ..analysis.worst_case_search import representative_rows
 
     _apply_chain_context(payload)
-    sizes = tuple(payload["sizes"])
-    alpha = RandomnessConfiguration.from_group_sizes(sizes)
-    task = make_task(payload["task"], alpha.n)
-    lowest = Fraction(1)
-    highest = Fraction(0)
-    solvable = 0
-    total = 0
-    for table in payload["tables"]:
-        ports = PortAssignment([list(row) for row in table])
-        limit = exact_limit_value(
-            compile_chain(alpha, ports, use_memo=False), task
-        )
-        lowest = min(lowest, limit)
-        highest = max(highest, limit)
-        solvable += limit == 1
-        total += 1
     return {
-        "lowest": str(lowest),
-        "highest": str(highest),
-        "solvable": solvable,
-        "total": total,
+        "rows": representative_rows(
+            tuple(payload["sizes"]), payload["tables"]
+        )
     }
 
 
