@@ -149,7 +149,7 @@ def iter_all_experiments(engine=None):
         return
     from ..runner.worker import chain_context_payload, execute_experiment
 
-    # The parent's chain context (e.g. --no-batch) travels with every
+    # The parent's chain context (e.g. --no-quotient) travels with every
     # pool payload (results are identical either way).
     context = chain_context_payload()
     payloads = [

@@ -12,7 +12,8 @@ The package-level API:
   processes and runs (LRU ``max_bytes``/``max_entries`` caps optional);
 * :func:`run_queries` / :class:`QueryBatch` -- answer whole sets of
   ``(task, horizon, quantity)`` questions against one chain in shared
-  topologically-ordered passes (:mod:`repro.chain.batch`);
+  topologically-ordered passes (:mod:`repro.chain.batch`), and
+  :func:`run_group_queries` -- the same for many chains in one call;
 * :class:`SharedChainStore` / :func:`configure_shared_chains` -- place
   compiled arrays in ``multiprocessing.shared_memory`` so pool workers
   attach zero-copy views instead of re-loading from disk
@@ -33,10 +34,7 @@ from .batch import (
     Query,
     QueryBatch,
     QueryPlan,
-    batching_enabled,
-    configure_batching,
     run_queries,
-    run_query_batch,
 )
 from .cache import (
     CacheEntry,
@@ -60,16 +58,7 @@ from .engine import (
     refine_labels,
     set_distribution_cache_cap,
 )
-from .multi import (
-    MAX_GROUP_STATES,
-    ChainGroup,
-    MultiQueryPlan,
-    configure_grouping,
-    group_state_budget,
-    grouping_enabled,
-    plan_chunks,
-    run_group_queries,
-)
+from .multi import run_group_queries
 from .quotient import (
     QUOTIENT_MODES,
     QuotientChain,
@@ -87,9 +76,7 @@ from .shm import (
     SharedChainStore,
     attach_chain,
     configure_shared_chains,
-    configure_shared_groups,
     shared_chain,
-    shared_group,
 )
 from .interning import (
     LabelVector,
@@ -105,15 +92,12 @@ __all__ = [
     "BACKENDS",
     "CacheEntry",
     "ChainDiskCache",
-    "ChainGroup",
     "ChainKey",
     "CompiledChain",
     "DEFAULT_DISTRIBUTION_CACHE_CAP",
     "DENSE_STATE_LIMIT",
     "LabelVector",
-    "MAX_GROUP_STATES",
     "MAX_NODES",
-    "MultiQueryPlan",
     "QUANTITIES",
     "QUOTIENT_MODES",
     "Query",
@@ -126,7 +110,6 @@ __all__ = [
     "automorphism_count",
     "automorphism_generators",
     "back_port_tables",
-    "batching_enabled",
     "block_count",
     "block_sizes",
     "blocks_from_labels",
@@ -134,34 +117,26 @@ __all__ = [
     "chain_key",
     "clear_memo",
     "compile_chain",
-    "configure_batching",
     "configure_disk_cache",
-    "configure_grouping",
     "configure_quotient",
     "configure_shared_chains",
-    "configure_shared_groups",
     "disk_cache",
     "effective_chain_key",
     "evolution_strategy",
-    "grouping_enabled",
     "is_chain_automorphism",
     "is_quotient_key",
     "labels_from_blocks",
     "memo_size",
     "memoized_chain",
     "neighbour_tables",
-    "group_state_budget",
-    "plan_chunks",
     "quotient_key",
     "quotient_mode",
     "refine_labels",
     "resolve_quotient",
     "run_group_queries",
     "run_queries",
-    "run_query_batch",
     "set_distribution_cache_cap",
     "shared_chain",
-    "shared_group",
     "transition_density",
     "validate_backend",
 ]

@@ -9,6 +9,12 @@ repr, so the cache is safe to share between concurrent workers -- at
 worst two workers compile the same chain once each and one write wins
 (writes go through an atomic rename).
 
+Each file is :data:`FILE_MAGIC`, the SHA-256 of the pickled chain, then
+the pickle itself.  Loads verify the digest before unpickling, so a
+truncated, bit-flipped or foreign file is a counted miss
+(``chain.cache.load.miss``) and gets recompiled -- never an exception
+and never a chain with the right key but different transitions.
+
 The cache is opt-in: :func:`configure_disk_cache` installs a directory
 process-wide (the runner does this for sweeps given a ``--run-dir``),
 and ``configure_disk_cache(None)`` turns it back off.
@@ -41,6 +47,12 @@ STATS_LOG = "_stats.log"
 
 #: Compact the stats log once it grows past this many bytes.
 STATS_COMPACT_BYTES = 1 << 16
+
+#: Leading bytes of every cache file (format tag plus version); the
+#: 32-byte SHA-256 of the pickled payload follows.
+FILE_MAGIC = b"repro-chain\x01"
+
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 def _fold_load_counts(state, events) -> dict[str, int]:
@@ -234,22 +246,40 @@ class ChainDiskCache:
         """Remove every cached chain; returns how many were dropped."""
         return len(self.evict(max_bytes=0, max_entries=0))
 
+    def read(self, path: "str | os.PathLike[str]") -> CompiledChain:
+        """The verified chain in one cache file.
+
+        Raises ``OSError`` for an unreadable file and ``ValueError`` for
+        a missing header, a digest mismatch or a payload that is not a
+        :class:`CompiledChain`; the payload is unpickled only after its
+        digest checks out.
+        """
+        data = pathlib.Path(path).read_bytes()
+        head = len(FILE_MAGIC) + _DIGEST_BYTES
+        if len(data) < head or not data.startswith(FILE_MAGIC):
+            raise ValueError("not a chain cache file")
+        payload = data[head:]
+        if hashlib.sha256(payload).digest() != data[len(FILE_MAGIC):head]:
+            raise ValueError("chain cache file digest mismatch")
+        chain = pickle.loads(payload)
+        if not isinstance(chain, CompiledChain):
+            raise ValueError("chain cache file holds no CompiledChain")
+        return chain
+
     def load(self, key: ChainKey) -> CompiledChain | None:
         """The cached chain for ``key``, or ``None``.
 
-        A hit is validated against the full key (hash collisions and
-        stale formats both surface as a miss, never as wrong results);
-        unreadable files are treated as misses.
+        Fails closed: a missing, unreadable, truncated or corrupt file
+        (digest mismatch, or any exception while unpickling) and a chain
+        whose key differs from ``key`` are all a counted miss, never an
+        exception and never a wrong chain.
         """
         path = self.path_for(key)
         try:
-            with path.open("rb") as handle:
-                chain = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            if OBS.enabled:
-                OBS.metrics.inc("chain.cache.load.miss")
-            return None
-        if not isinstance(chain, CompiledChain) or chain.key != key:
+            chain = self.read(path)
+        except Exception:
+            chain = None
+        if chain is None or chain.key != key:
             if OBS.enabled:
                 OBS.metrics.inc("chain.cache.load.miss")
             return None
@@ -270,6 +300,7 @@ class ChainDiskCache:
         persisted) rather than failing the computation that produced it.
         """
         path = self.path_for(chain.key)
+        payload = pickle.dumps(chain, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -279,7 +310,9 @@ class ChainDiskCache:
             return None
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(chain, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(FILE_MAGIC)
+                handle.write(hashlib.sha256(payload).digest())
+                handle.write(payload)
             os.replace(tmp, path)
         except BaseException as exc:
             try:
@@ -354,6 +387,7 @@ def disk_cache() -> ChainDiskCache | None:
 __all__ = [
     "CacheEntry",
     "ChainDiskCache",
+    "FILE_MAGIC",
     "STATS_FILE",
     "STATS_LOG",
     "configure_disk_cache",

@@ -37,16 +37,6 @@ grouped chains read ``"<segment name>@<byte offset>"``; plain entries
 stay bare segment names, so old-style manifests keep working.  Worker
 attachment caches the segment mapping by name (:func:`attach_chain`),
 making every chain of a group after the first a pure pointer offset.
-
-:meth:`SharedChainStore.publish_group_arrays` additionally publishes a
-prebuilt :class:`~repro.chain.multi.ChainGroup`'s *index arrays* (the
-block-diagonal COO stack and the merged end-aligned level schedule) so
-pool workers attach finished groups instead of each rebuilding them --
-the remaining per-worker redundancy once the chains themselves are
-shared.  Group segments are keyed by the member chains' key digests (in
-stacking order) and validated against them on attach, so any mismatch
--- different chunking, different chain set, stale manifest -- degrades
-to a worker-side rebuild, never to a wrong stack.
 """
 
 from __future__ import annotations
@@ -62,11 +52,7 @@ from .engine import ChainKey, CompiledChain
 #: Bump when the segment layout changes; mismatches degrade to a miss.
 LAYOUT_VERSION = 1
 
-#: Separate version for ChainGroup index-array segments.
-GROUP_LAYOUT_VERSION = 1
-
 _HEADER_WORDS = 6
-_GROUP_HEADER_WORDS = 8
 _WORD = 8  # bytes per int64/float64
 
 
@@ -148,7 +134,6 @@ class SharedChainStore:
     def __init__(self):
         self._segments: list = []
         self._manifest: dict[str, str] = {}
-        self._group_manifest: dict[str, str] = {}
 
     def __len__(self) -> int:
         """How many chains this store has published (not segments)."""
@@ -162,15 +147,6 @@ class SharedChainStore:
         chain packed into a group segment.
         """
         return dict(self._manifest)
-
-    @property
-    def group_manifest(self) -> dict[str, str]:
-        """``{group token: segment name}`` for published ChainGroup arrays.
-
-        A group token is :func:`group_token` of the member chains' key
-        digests in stacking order.
-        """
-        return dict(self._group_manifest)
 
     def publish(self, chain: CompiledChain) -> str:
         """Place ``chain``'s arrays in their own segment.
@@ -229,83 +205,6 @@ class SharedChainStore:
             self._manifest[digest] = f"{shm.name}@{offset}"
         return shm.name
 
-    def publish_group_arrays(self, group) -> "str | None":
-        """Publish a prebuilt :class:`~repro.chain.multi.ChainGroup`'s
-        index arrays (block-diagonal COO stack + merged level schedule).
-
-        Workers that would stack the same member chains (same key
-        digests, same order) attach the finished arrays instead of
-        rebuilding them.  Idempotent per member-digest token; returns
-        the segment name (``None`` only if the group was already
-        published).
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        digests = tuple(key_digest(chain.key) for chain in group.chains)
-        token = group_token(digests)
-        if token in self._group_manifest:
-            return None
-        meta = pickle.dumps(digests, protocol=pickle.HIGHEST_PROTOCOL)
-        steps = group._steps
-        state_total = sum(len(step[0]) for step in steps)
-        edge_total = sum(len(step[1]) for step in steps)
-        chains = len(group.chains)
-        states, nnz = group.num_states, group.num_transitions
-        words = (
-            _GROUP_HEADER_WORDS
-            + 2 * chains              # offsets, starts
-            + 3 * nnz                 # src, dst, weight
-            + states                  # self_w
-            + 2 * (len(steps) + 1)    # state/edge indptrs
-            + state_total             # step state ids
-            + 3 * edge_total          # step edge pos/dst/weight
-        )
-        shm = SharedMemory(create=True, size=words * _WORD + len(meta))
-        buf, offset = shm.buf, 0
-
-        def put(values, dtype) -> None:
-            nonlocal offset
-            array = np.ndarray(
-                (len(values),), dtype=dtype, buffer=buf, offset=offset
-            )
-            array[:] = values
-            offset += len(values) * _WORD
-            del array
-
-        put(
-            (GROUP_LAYOUT_VERSION, chains, states, nnz, len(steps),
-             state_total, edge_total, len(meta)),
-            np.int64,
-        )
-        put(group.offsets, np.int64)
-        put(group.starts, np.int64)
-        put(group._src, np.int64)
-        put(group._dst, np.int64)
-        put(group._weight, np.float64)
-        put(group._self_w, np.float64)
-        state_indptr, edge_indptr = [0], [0]
-        for state_idx, edge_pos, _, _ in steps:
-            state_indptr.append(state_indptr[-1] + len(state_idx))
-            edge_indptr.append(edge_indptr[-1] + len(edge_pos))
-        put(state_indptr, np.int64)
-        put(edge_indptr, np.int64)
-        for column, dtype in (
-            (0, np.int64),  # state ids
-        ):
-            for step in steps:
-                put(step[column], dtype)
-        for column, dtype in (
-            (1, np.int64),    # edge positions
-            (2, np.int64),    # edge destinations
-            (3, np.float64),  # edge weights
-        ):
-            for step in steps:
-                put(step[column], dtype)
-        buf[offset:offset + len(meta)] = meta
-        self._segments.append(shm)
-        self._group_manifest[token] = shm.name
-        return shm.name
-
     def close(self) -> None:
         """Close and unlink every published segment (idempotent)."""
         for shm in self._segments:
@@ -319,7 +218,6 @@ class SharedChainStore:
                 pass
         self._segments.clear()
         self._manifest.clear()
-        self._group_manifest.clear()
 
     def __enter__(self) -> "SharedChainStore":
         return self
@@ -438,125 +336,11 @@ def shared_chain(key: ChainKey) -> "CompiledChain | None":
     return chain
 
 
-# ----------------------------------------------------------------------
-# ChainGroup index-array segments
-# ----------------------------------------------------------------------
-def group_token(digests) -> str:
-    """The manifest token of a chain-group stack: a digest over the
-    member chains' key digests *in stacking order*."""
-    import hashlib
-
-    return hashlib.sha256("|".join(digests).encode()).hexdigest()
-
-
-_GROUP_MANIFEST: dict[str, str] = {}
-
-
-def configure_shared_groups(manifest: "dict[str, str] | None") -> None:
-    """Install (or, with ``None``/empty, remove) the group-array manifest."""
-    global _GROUP_MANIFEST
-    fresh = dict(manifest) if manifest else {}
-    if fresh != _GROUP_MANIFEST:
-        # Group segment names never collide with chain segment names,
-        # but a manifest change means the publishing sweep changed --
-        # drop stale mappings along with it (attached groups pin their
-        # own mapping, so live views stay valid).
-        for segment_name in _GROUP_MANIFEST.values():
-            _ATTACHED.pop(segment_name, None)
-    _GROUP_MANIFEST = fresh
-
-
-def shared_group_manifest() -> dict[str, str]:
-    """The currently installed group manifest (a copy)."""
-    return dict(_GROUP_MANIFEST)
-
-
-def attach_group_arrays(name: str) -> dict:
-    """Attach a group segment and return its arrays as a payload dict.
-
-    Keys: ``digests`` (member chain key digests, stacking order),
-    ``offsets``, ``starts``, ``src``, ``dst``, ``weight``, ``self_w``,
-    ``num_states``, ``steps`` (the merged level schedule as ``(state,
-    pos, dst, w)`` array tuples), and ``shm`` (the mapping to pin).
-    All arrays are zero-copy views into the segment.
-    """
-    shm = _segment(name)
-    buf, offset = shm.buf, 0
-
-    def take(count: int, dtype) -> np.ndarray:
-        nonlocal offset
-        array = np.ndarray((count,), dtype=dtype, buffer=buf, offset=offset)
-        offset += count * _WORD
-        return array
-
-    header = take(_GROUP_HEADER_WORDS, np.int64)
-    (version, chains, states, nnz, n_steps, state_total, edge_total,
-     meta_bytes) = (int(x) for x in header)
-    if version != GROUP_LAYOUT_VERSION:
-        raise ValueError(f"unknown shared-group layout version {version}")
-    payload = {
-        "num_states": states,
-        "offsets": take(chains, np.int64),
-        "starts": take(chains, np.int64),
-        "src": take(nnz, np.int64),
-        "dst": take(nnz, np.int64),
-        "weight": take(nnz, np.float64),
-        "self_w": take(states, np.float64),
-        "shm": shm,
-    }
-    state_indptr = take(n_steps + 1, np.int64)
-    edge_indptr = take(n_steps + 1, np.int64)
-    state_concat = take(state_total, np.int64)
-    pos_concat = take(edge_total, np.int64)
-    dst_concat = take(edge_total, np.int64)
-    w_concat = take(edge_total, np.float64)
-    payload["steps"] = [
-        (
-            state_concat[state_indptr[j]:state_indptr[j + 1]],
-            pos_concat[edge_indptr[j]:edge_indptr[j + 1]],
-            dst_concat[edge_indptr[j]:edge_indptr[j + 1]],
-            w_concat[edge_indptr[j]:edge_indptr[j + 1]],
-        )
-        for j in range(n_steps)
-    ]
-    payload["digests"] = pickle.loads(
-        bytes(buf[offset:offset + meta_bytes])
-    )
-    return payload
-
-
-def shared_group(digests) -> "dict | None":
-    """The published group arrays for these member digests, or ``None``.
-
-    Like :func:`shared_chain`, every failure mode -- no manifest entry,
-    segment gone, layout mismatch, or a member-digest mismatch (the
-    worker is stacking a different chunk than the publisher predicted)
-    -- degrades to a miss and the caller rebuilds the group locally.
-    """
-    digests = tuple(digests)
-    name = _GROUP_MANIFEST.get(group_token(digests))
-    if name is None:
-        return None
-    try:
-        payload = attach_group_arrays(name)
-    except Exception:
-        return None
-    if tuple(payload["digests"]) != digests:
-        return None
-    return payload
-
-
 __all__ = [
-    "GROUP_LAYOUT_VERSION",
     "LAYOUT_VERSION",
     "SharedChainStore",
     "attach_chain",
-    "attach_group_arrays",
     "configure_shared_chains",
-    "configure_shared_groups",
-    "group_token",
     "shared_chain",
-    "shared_group",
-    "shared_group_manifest",
     "shared_manifest",
 ]

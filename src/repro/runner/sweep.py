@@ -36,8 +36,13 @@ def _iter_job_payloads(payloads):
             yield payload
 
 
+#: Per-bin state cap for grouped dispatch: no group payload is packed
+#: past this many (estimated) compiled states, however few bins the
+#: sweep splits into.
+GROUP_STATE_CAP = 1 << 15
+
 #: Bell numbers B(0)..B(10): the partition count of an n-set bounds a
-#: consistency chain's state count from above, so it is the stacked-
+#: consistency chain's state count from above, so it is the bin-weight
 #: state proxy for chains nobody has compiled yet.
 _BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
 
@@ -57,7 +62,6 @@ def _family_state_weight(spec) -> int:
     estimate.
     """
     from ..chain import (
-        MAX_GROUP_STATES,
         automorphism_count,
         effective_chain_key,
         is_quotient_key,
@@ -77,7 +81,7 @@ def _family_state_weight(spec) -> int:
     estimate = _BELL[n] if n < len(_BELL) else _BELL[-1]
     if key is not None and is_quotient_key(key):
         estimate = max(1, math.ceil(estimate / automorphism_count(key)))
-    return min(estimate, MAX_GROUP_STATES)
+    return min(estimate, GROUP_STATE_CAP)
 
 
 def _group_job_payloads(jobs, payloads, engine):
@@ -90,24 +94,18 @@ def _group_job_payloads(jobs, payloads, engine):
     directories byte-identical to serial ungrouped ones (records land
     in index order either way).
 
-    Bins are budgeted by **stacked states**, not job count: each run
+    Bins are budgeted by **compiled states**, not job count: each run
     weighs its family's (estimated) compiled-state count
     (:func:`_family_state_weight`), the per-bin budget is the total
     weight split over four bins per pool worker, and no bin ever
-    exceeds the active group-state budget
-    (:func:`~repro.chain.multi.group_state_budget`:
-    :data:`~repro.chain.multi.MAX_GROUP_STATES`, or tighter under
-    ``--policy measured``) -- so a shape axis mixing n=3 and n=8
-    families no longer hands one worker all the heavy chains that
+    exceeds :data:`GROUP_STATE_CAP` -- so a shape axis mixing n=3 and
+    n=8 families no longer hands one worker all the heavy chains that
     another worker's job-count-equal bin dodged.
-    Returns ``None`` -- dispatch one payload per job exactly as before
-    -- when grouping is off, the sweep is sampling-kind (Monte-Carlo
-    jobs gain nothing from a shared chain pass), or there is at most
-    one job.
+    Returns ``None`` -- dispatch one payload per job -- when the sweep
+    is sampling-kind (Monte-Carlo jobs gain nothing from a shared
+    chain) or there is at most one job.
     """
-    from ..chain import group_state_budget, grouping_enabled
-
-    if not grouping_enabled() or len(payloads) < 2:
+    if len(payloads) < 2:
         return None
     if any(jobs[p["index"]].kind != "exact" for p in payloads):
         return None
@@ -124,9 +122,7 @@ def _group_job_payloads(jobs, payloads, engine):
         runs[-1].append(payload)
     workers = getattr(engine, "workers", 1) or 1
     bins = max(1, min(len(runs), workers * 4))
-    budget = min(
-        group_state_budget(), max(1, math.ceil(sum(weights) / bins))
-    )
+    budget = min(GROUP_STATE_CAP, max(1, math.ceil(sum(weights) / bins)))
     groups: list[list[dict]] = []
     current: list[dict] = []
     current_weight = 0
@@ -139,10 +135,7 @@ def _group_job_payloads(jobs, payloads, engine):
         current_weight += weight
     if current:
         groups.append(current)
-    context_keys = (
-        "chain_cache", "batch", "group_chains", "quotient",
-        "results_memo", "obs", "policy", "live",
-    )
+    context_keys = ("chain_cache", "quotient", "results_memo", "obs", "live")
     return [
         {
             "jobs": group,
@@ -179,12 +172,6 @@ def _publish_shared_chains(jobs, payloads, directory):
     Chains are keyed by their *effective* key -- structural key plus
     the quotient tag the active quotient mode resolves to -- so workers
     compiling under the same mode attach exactly what was published.
-    On top of the chains themselves, each grouped payload whose member
-    chains all published warm also gets its predicted
-    :class:`~repro.chain.multi.ChainGroup` stacks published as prebuilt
-    index arrays (:func:`~repro.chain.multi.plan_chunks` is the shared
-    chunking rule), so workers running grouped float passes attach
-    finished groups instead of rebuilding them.
     """
     from ..chain import (
         compile_chain,
@@ -215,7 +202,6 @@ def _publish_shared_chains(jobs, payloads, directory):
     store = SharedChainStore()
     try:
         chains = []
-        warm_chains: dict[tuple, object] = {}
         for spec in shareable:
             alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
             ports = make_ports(spec.ports, spec.sizes, 0)
@@ -229,11 +215,9 @@ def _publish_shared_chains(jobs, payloads, directory):
                     continue  # cold + disk-cached sweep: workers share it
                 chain = compile_chain(alpha, ports)
             chains.append(chain)
-            warm_chains[(spec.sizes, spec.ports)] = chain
         # One segment for the whole sweep: workers attach it once and
         # read every chain at a byte offset.
         store.publish_group(chains)
-        _publish_shared_groups(store, jobs, payloads, warm_chains)
     except OSError:
         # No (or full) /dev/shm: fall back to the disk-cache-only path.
         store.close()
@@ -242,48 +226,9 @@ def _publish_shared_chains(jobs, payloads, directory):
         store.close()
         return None
     manifest = store.manifest
-    group_manifest = store.group_manifest
     for payload in payloads:
         payload["chain_shm"] = manifest
-        if group_manifest:
-            payload["chain_shm_groups"] = group_manifest
     return store
-
-
-def _publish_shared_groups(store, jobs, payloads, warm_chains) -> None:
-    """Publish each grouped payload's predicted ChainGroup stacks.
-
-    A worker's grouped pass stacks the payload's *distinct* chains in
-    job order, chunked by :func:`~repro.chain.multi.plan_chunks`; with
-    every member chain published warm, the parent predicts those chunks
-    exactly and publishes each multi-chain chunk's built index arrays.
-    Payloads containing any cold (or non-deterministic) chain are
-    skipped -- the worker would stack a different chain list, and the
-    attach-side digest validation would reject the arrays anyway.
-    """
-    from ..chain import ChainGroup, plan_chunks
-
-    for payload in payloads:
-        members = payload.get("jobs")
-        if not members or len(members) < 2:
-            continue
-        distinct: list = []
-        seen_ids: set[int] = set()
-        predictable = True
-        for job in members:
-            spec = jobs[job["index"]]
-            chain = warm_chains.get((spec.sizes, spec.ports))
-            if spec.ports == "random" or chain is None:
-                predictable = False
-                break
-            if id(chain) not in seen_ids:
-                seen_ids.add(id(chain))
-                distinct.append(chain)
-        if not predictable:
-            continue
-        for chunk in plan_chunks(distinct):
-            if len(chunk) >= 2:
-                store.publish_group_arrays(ChainGroup(chunk))
 
 
 @dataclass
@@ -297,7 +242,7 @@ class SweepOutcome:
     executed: int
     #: How many jobs were skipped because the run directory had them.
     resumed: int
-    #: Per-group diagnostics from grouped dispatch (stacked size,
+    #: Per-group diagnostics from grouped dispatch (summed size,
     #: density, evolution verdict, memo hits); lands in the warehouse's
     #: ``groups`` table, never in the job records.
     group_stats: list[dict] = field(default_factory=list)
@@ -515,12 +460,12 @@ def run_sweep(
             resumed=len(prior),
         )
     for payload in payloads:
-        # Propagate the parent's chain context (e.g. the CLI --no-batch
-        # toggle) into pool workers; results are identical either way.
+        # Propagate the parent's chain context (e.g. the CLI
+        # --quotient mode) into pool workers.
         payload.update(context)
     # The shape-grouping dispatcher: hand each worker one group payload
-    # (one shared-memory attach, one grouped query pass) per slice of
-    # the grid instead of one payload per grid point.
+    # (one shared-memory attach) per slice of the grid instead of one
+    # payload per grid point.
     grouped = _group_job_payloads(jobs, payloads, engine)
     dispatch = payloads if grouped is None else grouped
     worker_fn = execute_run if grouped is None else execute_run_group

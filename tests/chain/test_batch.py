@@ -15,11 +15,9 @@ from repro.chain import (
     Query,
     QueryBatch,
     QueryPlan,
-    batching_enabled,
     compile_chain,
-    configure_batching,
+    evolution_strategy,
     run_queries,
-    run_query_batch,
     set_distribution_cache_cap,
 )
 from repro.core import k_leader_election, leader_election, unique_ids
@@ -95,7 +93,7 @@ class TestExactAgreement:
         alpha = RandomnessConfiguration.from_group_sizes(shape)
         chain = compile_chain(alpha, make_ports(shape))
         queries = _all_queries(_tasks(alpha.n), HORIZONS)
-        batched = run_query_batch(chain, queries, backend="exact")
+        batched = run_queries(chain, queries, backend="exact")
         scalar = _scalar_answers(chain, queries, "exact")
         assert batched == scalar
         # Byte-identical means identical types too: Fractions everywhere
@@ -113,7 +111,7 @@ class TestFloatAgreement:
         alpha = RandomnessConfiguration.from_group_sizes(shape)
         chain = compile_chain(alpha, make_ports(shape))
         queries = _all_queries(_tasks(alpha.n), HORIZONS)
-        batched = run_query_batch(chain, queries, backend="float")
+        batched = run_queries(chain, queries, backend="float")
         scalar = _scalar_answers(chain, queries, "float")
         exact = _scalar_answers(chain, queries, "exact")
         for got, flt, ref in zip(batched, scalar, exact):
@@ -165,7 +163,7 @@ class TestPlan:
         alpha = RandomnessConfiguration.from_group_sizes((1, 2))
         chain = compile_chain(alpha)
         with pytest.raises(ValueError):
-            run_query_batch(
+            run_queries(
                 chain, [Query.limit(leader_election(3))], backend="decimal"
             )
 
@@ -190,48 +188,18 @@ class TestQueryBatchBuilder:
         assert results[h_solvable] == chain.eventually_solvable(task)
 
 
-class TestToggle:
-    def test_configure_batching_round_trips(self):
-        assert batching_enabled()
-        previous = configure_batching(False)
-        try:
-            assert previous is True
-            assert not batching_enabled()
-            alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
-            chain = compile_chain(alpha)
-            task = leader_election(alpha.n)
-            off = run_queries(
-                chain, [Query.series(task, 5), Query.limit(task)]
-            )
-        finally:
-            configure_batching(True)
-        on = run_queries(chain, [Query.series(task, 5), Query.limit(task)])
-        assert off == on
-
-    def test_run_query_batch_ignores_toggle(self):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
-        chain = compile_chain(alpha)
-        task = leader_election(3)
-        configure_batching(False)
-        try:
-            value = run_query_batch(chain, [Query.limit(task)])[0]
-        finally:
-            configure_batching(True)
-        assert value == chain.limit_solving_probability(task)
-
-
 class TestZeroOneAssertion:
     def test_solvable_asserts_zero_one_on_both_backends(self):
         alpha = RandomnessConfiguration.from_group_sizes((2, 2))
         chain = compile_chain(alpha)
         task = leader_election(4)
-        assert run_query_batch(chain, [Query.solvable(task)]) == [False]
-        assert run_query_batch(
+        assert run_queries(chain, [Query.solvable(task)]) == [False]
+        assert run_queries(
             chain, [Query.solvable(task)], backend="float"
         ) == [False]
         # Float 'solvable' verdicts are exact Fractions under the hood.
         assert isinstance(
-            run_query_batch(chain, [Query.limit(task)])[0], Fraction
+            run_queries(chain, [Query.limit(task)])[0], Fraction
         )
 
 
@@ -247,7 +215,7 @@ class TestDistributionCacheCap:
             assert fresh.solving_probability(task, 12) == reference
             assert len(fresh._dist_exact) <= 4
             # Batched series past the cap stays byte-identical too.
-            capped = run_query_batch(fresh, [Query.series(task, 12)])[0]
+            capped = run_queries(fresh, [Query.series(task, 12)])[0]
         finally:
             set_distribution_cache_cap(None)
         assert capped == chain.solving_probability_series(task, 12)
@@ -255,3 +223,103 @@ class TestDistributionCacheCap:
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             set_distribution_cache_cap(0)
+
+
+class TestAdaptiveEvolution:
+    def test_strategy_follows_density_below_the_hard_cap(self):
+        from repro.chain import DENSE_STATE_LIMIT
+        from repro.chain.backends import (
+            DENSE_ALWAYS_STATES,
+            DENSE_DENSITY_FLOOR,
+        )
+
+        assert evolution_strategy(DENSE_STATE_LIMIT + 1, 10**9) == "scatter"
+        assert evolution_strategy(DENSE_ALWAYS_STATES, 1) == "dense"
+        states = DENSE_ALWAYS_STATES * 2
+        dense_nnz = int(states * states * DENSE_DENSITY_FLOOR) + 1
+        assert evolution_strategy(states, dense_nnz) == "dense"
+        assert evolution_strategy(states, states) == "scatter"
+
+    def test_hard_cap_itself_still_follows_density(self):
+        from repro.chain import DENSE_STATE_LIMIT
+
+        full = DENSE_STATE_LIMIT * DENSE_STATE_LIMIT
+        assert evolution_strategy(DENSE_STATE_LIMIT, full) == "dense"
+        assert evolution_strategy(DENSE_STATE_LIMIT, DENSE_STATE_LIMIT) == (
+            "scatter"
+        )
+        assert evolution_strategy(DENSE_STATE_LIMIT + 1, full) == "scatter"
+
+    def test_density_exactly_at_the_floor_is_dense(self):
+        from repro.chain.backends import (
+            DENSE_ALWAYS_STATES,
+            DENSE_DENSITY_FLOOR,
+            transition_density,
+        )
+
+        states = DENSE_ALWAYS_STATES * 4
+        at_floor = int(states * states * DENSE_DENSITY_FLOOR)
+        assert transition_density(states, at_floor) == DENSE_DENSITY_FLOOR
+        assert evolution_strategy(states, at_floor) == "dense"
+        assert evolution_strategy(states, at_floor - 1) == "scatter"
+
+    def test_empty_and_tiny_chains_are_dense(self):
+        from repro.chain.backends import transition_density
+
+        assert transition_density(0, 0) == 0.0
+        assert evolution_strategy(0, 0) == "dense"
+        assert evolution_strategy(1, 1) == "dense"
+
+    def test_plan_and_batch_reprs_expose_the_decision(self):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
+        chain = compile_chain(alpha)
+        task = leader_election(5)
+        plan = QueryPlan(chain, [Query.limit(task)])
+        assert plan.evolution in ("dense", "scatter")
+        assert plan.evolution in repr(plan)
+        batch = QueryBatch(chain)
+        batch.limit(task)
+        assert plan.evolution in repr(batch)
+
+
+class TestEvolutionVerdictMovesNoResults:
+    """Dense and scatter evolve the same distribution: forcing either
+    verdict leaves every float answer within 1e-12 of the other and of
+    exact, and leaves exact answers untouched."""
+
+    @pytest.mark.parametrize("shape,make_ports", list(_grid()))
+    def test_forced_dense_and_scatter_agree(
+        self, monkeypatch, shape, make_ports
+    ):
+        import repro.chain.backends as backends
+
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        chain = compile_chain(alpha, make_ports(shape))
+        queries = _all_queries(_tasks(alpha.n), HORIZONS)
+        exact = run_queries(chain, queries, backend="exact")
+        answers = {}
+        for forced in ("dense", "scatter"):
+            calls = []
+
+            def verdict(num_states, nnz, forced=forced, calls=calls):
+                calls.append((num_states, nnz))
+                return forced
+
+            monkeypatch.setattr(backends, "evolution_strategy", verdict)
+            answers[forced] = run_queries(chain, queries, backend="float")
+            assert calls, "the float path never asked for a verdict"
+            assert run_queries(chain, queries, backend="exact") == exact
+        monkeypatch.undo()
+        for dense, scatter, ref in zip(
+            answers["dense"], answers["scatter"], exact
+        ):
+            if isinstance(ref, list):
+                assert len(dense) == len(scatter) == len(ref)
+                for d, s, r in zip(dense, scatter, ref):
+                    assert d == pytest.approx(s, abs=1e-12)
+                    assert d == pytest.approx(float(r), abs=1e-12)
+            elif ref is None or isinstance(ref, bool):
+                assert dense == scatter == ref
+            else:
+                assert dense == pytest.approx(scatter, abs=1e-12)
+                assert dense == pytest.approx(float(ref), abs=1e-12)

@@ -1,20 +1,27 @@
 """Disk cache: cross-process chain persistence and corruption safety."""
 
+import hashlib
+import json
 import pickle
+import pickletools
 
 import pytest
 
 from repro.chain import (
     ChainDiskCache,
+    Query,
     chain_key,
     clear_memo,
     compile_chain,
     configure_disk_cache,
     disk_cache,
+    run_queries,
 )
+from repro.chain.cache import FILE_MAGIC
 from repro.core import leader_election
-from repro.models import adversarial_assignment
-from repro.randomness import RandomnessConfiguration
+from repro.models import adversarial_assignment, round_robin_assignment
+from repro.obs import OBS, configure_tracing, reset_telemetry
+from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
 from repro.runner import SerialEngine, SweepSpec, run_sweep
 
 
@@ -78,8 +85,8 @@ class TestDiskCache:
         other = RandomnessConfiguration.from_group_sizes((2, 2))
         chain = compile_chain(alpha)
         store = ChainDiskCache(cache_dir)
-        # Plant the (1,2) chain under the (2,2) key file.
-        store.path_for(chain_key(other)).write_bytes(pickle.dumps(chain))
+        # Plant a well-formed (1,2) cache file under the (2,2) key file.
+        store.store(chain).rename(store.path_for(chain_key(other)))
         assert store.load(chain_key(other)) is None
 
 
@@ -329,6 +336,241 @@ class TestRunnerPlumbing:
         assert store.load(chain.key) is not None
         configure_disk_cache(None)
         clear_memo()
+
+
+def _payload_start(data: bytes) -> int:
+    """Offset of the pickled chain inside a cache file (after any
+    header): the PROTO opcode for the highest protocol, then FRAME."""
+    start = data.find(bytes([0x80, pickle.HIGHEST_PROTOCOL, 0x95]))
+    assert start >= 0
+    return start
+
+
+def _flip_protocol_byte(data: bytes) -> bytes:
+    at = _payload_start(data) + 1
+    return data[:at] + bytes([data[at] ^ 0x03]) + data[at + 1:]
+
+
+def _flip_transition_byte(data: bytes) -> bytes:
+    """Flip the low bit of the first small int of the ``_out`` table
+    (a destination state id or a transition count)."""
+    start = _payload_start(data)
+    seen_out = False
+    for opcode, arg, pos in pickletools.genops(data[start:]):
+        if arg == "_out":
+            seen_out = True
+        elif seen_out and opcode.name == "BININT1":
+            at = start + pos + 1
+            return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+    raise AssertionError("no transition table in the pickle")
+
+
+def _truncate(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+_HEADER = len(FILE_MAGIC) + hashlib.sha256().digest_size
+
+
+def _flip(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+def _with_header(payload: bytes) -> bytes:
+    """A well-formed cache file around ``payload`` (valid digest)."""
+    return FILE_MAGIC + hashlib.sha256(payload).digest() + payload
+
+
+CORRUPTIONS = {
+    "protocol-byte": _flip_protocol_byte,
+    "transition-byte": _flip_transition_byte,
+    "truncated": _truncate,
+    "magic-byte": lambda data: _flip(data, 0),
+    "digest-byte": lambda data: _flip(data, len(FILE_MAGIC)),
+    "stop-byte": lambda data: _flip(data, len(data) - 1),
+    "header-only": lambda data: data[:_HEADER],
+    "mid-header": lambda data: data[: _HEADER - 16],
+    "empty": lambda data: b"",
+    # What older versions wrote: the bare pickle, no header.
+    "legacy-headerless": lambda data: data[_payload_start(data):],
+    "trailing-garbage": lambda data: data + b"\x00garbage",
+    "zeroed-payload": lambda data: data[:_HEADER] + bytes(len(data) - _HEADER),
+    # Digest checks out, but the payload is not a chain at all.
+    "foreign-object": lambda data: _with_header(
+        pickle.dumps({"not": "a chain"})
+    ),
+}
+
+
+class TestFailClosed:
+    """A damaged cache file is a counted miss, never an exception and
+    never a chain with the right key but a different transition table."""
+
+    @pytest.fixture
+    def traced(self):
+        configure_tracing(True)
+        reset_telemetry()
+        yield OBS.metrics
+        configure_tracing(False)
+        reset_telemetry()
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_file_loads_as_a_counted_miss(
+        self, tmp_path, traced, corruption
+    ):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 1, 2))
+        chain = compile_chain(
+            alpha, round_robin_assignment(alpha.n), use_memo=False
+        )
+        store = ChainDiskCache(tmp_path / "chains")
+        path = store.store(chain)
+        assert store.load(chain.key) is not None
+        path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+        reset_telemetry()
+        assert store.load(chain.key) is None
+        assert traced.counter("chain.cache.load.miss") == 1
+        assert traced.counter("chain.cache.load.hit") == 0
+
+    def test_every_single_byte_flip_is_a_counted_miss(self, tmp_path, traced):
+        # The unverified loader let ~13% of single-bit flips through as a
+        # chain with the right key and a different transition table; with
+        # the digest, damage anywhere in the file is a miss.
+        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
+        chain = compile_chain(alpha, use_memo=False)
+        store = ChainDiskCache(tmp_path / "chains")
+        path = store.store(chain)
+        clean = path.read_bytes()
+        reset_telemetry()
+        for at in range(len(clean)):
+            bit = 1 << (at % 8)
+            path.write_bytes(
+                clean[:at] + bytes([clean[at] ^ bit]) + clean[at + 1:]
+            )
+            assert store.load(chain.key) is None, at
+        assert traced.counter("chain.cache.load.miss") == len(clean)
+        assert traced.counter("chain.cache.load.hit") == 0
+
+    @pytest.mark.parametrize(
+        "corruption", ["magic-byte", "digest-byte", "empty", "foreign-object"]
+    )
+    def test_read_raises_value_error_for_a_bad_file(
+        self, tmp_path, corruption
+    ):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
+        store = ChainDiskCache(tmp_path / "chains")
+        path = store.store(compile_chain(alpha, use_memo=False))
+        path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+        with pytest.raises(ValueError):
+            store.read(path)
+
+    def test_storing_again_heals_a_damaged_entry(self, tmp_path, traced):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 1, 2))
+        chain = compile_chain(alpha, use_memo=False)
+        store = ChainDiskCache(tmp_path / "chains")
+        path = store.store(chain)
+        path.write_bytes(_flip_transition_byte(path.read_bytes()))
+        assert store.load(chain.key) is None
+        assert store.store(chain) == path
+        reloaded = store.load(chain.key)
+        assert reloaded is not None
+        assert reloaded.out_table() == chain.out_table()
+        assert traced.counter("chain.cache.load.miss") == 1
+        assert traced.counter("chain.cache.load.hit") == 1
+
+    def test_chains_inspect_reads_through_the_verified_loader(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        store = ChainDiskCache(tmp_path / "chains")
+        for shape in ((1, 2), (1, 1, 2)):
+            alpha = RandomnessConfiguration.from_group_sizes(shape)
+            store.store(compile_chain(alpha, use_memo=False))
+        damaged = store.path_for(
+            chain_key(RandomnessConfiguration.from_group_sizes((1, 1, 2)))
+        )
+        damaged.write_bytes(_flip_transition_byte(damaged.read_bytes()))
+        assert main(["chains", "inspect", str(tmp_path / "chains")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("unreadable") == 1
+        assert "n=3" in out
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_resume_over_corrupted_chains_matches_clean_records(
+        self, tmp_path, corruption
+    ):
+        sweep = SweepSpec.for_total_size(
+            4, models=("blackboard", "clique"),
+            ports=("adversarial", "round-robin"),
+        )
+
+        def lines(run_dir):
+            return [
+                {k: v for k, v in json.loads(line).items() if k != "elapsed"}
+                for line in (run_dir / "records.jsonl").read_text().splitlines()
+            ]
+
+        clean, damaged = tmp_path / "clean", tmp_path / "damaged"
+        for run_dir in (clean, damaged):
+            clear_memo()
+            run_sweep(sweep, engine=SerialEngine(), run_dir=run_dir,
+                      warehouse=False)
+        files = list((damaged / "chains").glob("*.chain.pkl"))
+        assert files
+        for path in files:
+            path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+        # Interrupt: keep the first two records, resume the rest from the
+        # corrupted chain cache.
+        records = (damaged / "records.jsonl").read_text().splitlines()
+        (damaged / "records.jsonl").write_text(
+            "\n".join(records[:2]) + "\n"
+        )
+        clear_memo()
+        resumed = run_sweep(sweep, engine=SerialEngine(), run_dir=damaged,
+                            warehouse=False)
+        clear_memo()
+        assert resumed.resumed == 2
+        assert resumed.executed == len(records) - 2
+        assert lines(damaged) == lines(clean)
+
+
+def _format_grid():
+    for n in (2, 3, 4):
+        for shape in enumerate_size_shapes(n):
+            for name, make in (
+                ("blackboard", lambda shape: None),
+                ("adversarial", adversarial_assignment),
+            ):
+                yield pytest.param(shape, make, id=f"{shape}-{name}")
+
+
+class TestFileFormat:
+    @pytest.mark.parametrize("shape,make_ports", list(_format_grid()))
+    def test_round_trip_answers_like_the_original(
+        self, tmp_path, shape, make_ports
+    ):
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        chain = compile_chain(alpha, make_ports(shape), use_memo=False)
+        store = ChainDiskCache(tmp_path / "chains")
+        path = store.store(chain)
+        data = path.read_bytes()
+        assert data.startswith(FILE_MAGIC)
+        payload = data[_HEADER:]
+        assert data[len(FILE_MAGIC):_HEADER] == (
+            hashlib.sha256(payload).digest()
+        )
+        reloaded = store.load(chain.key)
+        assert reloaded is not None and reloaded is not chain
+        assert reloaded.key == chain.key
+        assert reloaded.out_table() == chain.out_table()
+        task = leader_election(alpha.n)
+        queries = [
+            Query.series(task, 4),
+            Query.limit(task),
+            Query.expected_time(task),
+            Query.solvable(task),
+        ]
+        assert run_queries(reloaded, queries) == run_queries(chain, queries)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,40 +1,20 @@
-"""Multi-chain groups: stacked results vs per-chain, toggles, structure."""
+"""run_group_queries: many chains' batches, each answered per chain."""
 
-import numpy as np
 import pytest
 
-from repro.chain import (
-    ChainGroup,
-    MultiQueryPlan,
-    Query,
-    compile_chain,
-    configure_batching,
-    configure_grouping,
-    evolution_strategy,
-    grouping_enabled,
-    run_group_queries,
-    run_queries,
-)
-from repro.chain import multi as multi_module
+from repro.chain import Query, compile_chain, run_group_queries, run_queries
 from repro.core import (
     k_leader_election,
     leader_election,
     weak_symmetry_breaking,
 )
-from repro.models import adversarial_assignment, round_robin_assignment
+from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
-
-
-@pytest.fixture(autouse=True)
-def _toggles():
-    yield
-    configure_grouping(True)
-    configure_batching(True)
 
 
 def _mixed_shape_items():
     """A mixed-shape sweep axis: several totals, both models, all
-    quantities -- the access pattern the group engine exists for."""
+    quantities."""
     items = []
     for n in (3, 4, 5):
         tasks = (leader_election(n), k_leader_election(n, 2))
@@ -55,18 +35,11 @@ def _mixed_shape_items():
     return items
 
 
-def _per_chain(items, backend):
-    return [
-        run_queries(chain, queries, backend=backend)
-        for chain, queries in items
-    ]
-
-
 class TestGroupedResults:
     def test_exact_byte_identical_to_per_chain(self):
         items = _mixed_shape_items()
         grouped = run_group_queries(items, backend="exact")
-        per_chain = _per_chain(items, "exact")
+        per_chain = [run_queries(chain, queries) for chain, queries in items]
         assert grouped == per_chain
         # Same types too (Fractions stay Fractions, bools stay bools).
         for got_row, want_row in zip(grouped, per_chain):
@@ -78,148 +51,69 @@ class TestGroupedResults:
                     == [type(x) for x in inner_want]
                 )
 
-    def test_float_within_1e12_of_per_chain(self):
-        items = _mixed_shape_items()
-        grouped = run_group_queries(items, backend="float")
-        per_chain = _per_chain(items, "float")
-        for got_row, want_row in zip(grouped, per_chain):
-            for got, want in zip(got_row, want_row):
-                inner_got = got if isinstance(got, list) else [got]
-                inner_want = want if isinstance(want, list) else [want]
-                for g, w in zip(inner_got, inner_want):
-                    if g is None or w is None or isinstance(g, bool):
-                        assert g == w
-                    else:
-                        assert abs(g - w) < 1e-12
-
-    def test_singleton_group_degenerates_to_the_per_chain_plan(self):
-        items = _mixed_shape_items()[:1]
-        for backend in ("exact", "float"):
-            single = run_group_queries(items, backend=backend)
-            per_chain = _per_chain(items, backend)
-            if backend == "exact":
-                assert single == per_chain
-            else:
-                for g, w in zip(single[0], per_chain[0]):
-                    ig = g if isinstance(g, list) else [g]
-                    iw = w if isinstance(w, list) else [w]
-                    for a, b in zip(ig, iw):
-                        if a is None or isinstance(a, bool):
-                            assert a == b
-                        else:
-                            assert abs(a - b) < 1e-12
-
-    def test_repeated_chain_across_items_is_stacked_once(self):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
-        chain = compile_chain(alpha)
-        task = leader_election(5)
-        items = [
-            (chain, [Query.limit(task)]),
-            (chain, [Query.series(task, 4)]),
-        ]
-        grouped = run_group_queries(items)
-        assert grouped == _per_chain(items, "exact")
-
     def test_empty_items_and_empty_queries(self):
         assert run_group_queries([]) == []
         alpha = RandomnessConfiguration.from_group_sizes((1, 2))
         assert run_group_queries([(compile_chain(alpha), [])]) == [[]]
 
 
-class TestToggles:
-    def test_grouping_toggle_falls_back_per_chain(self):
-        items = _mixed_shape_items()[:4]
-        previous = configure_grouping(False)
-        assert previous is True
-        assert not grouping_enabled()
-        assert run_group_queries(items) == _per_chain(items, "exact")
-        configure_grouping(True)
-        assert grouping_enabled()
-
-    def test_batching_off_also_bypasses_the_group_path(self):
-        items = _mixed_shape_items()[:4]
-        configure_batching(False)
-        grouped_off = run_group_queries(items)
-        configure_batching(True)
-        assert grouped_off == _per_chain(items, "exact")
+def _backend_grid():
+    for backend in ("exact", "float"):
+        for shape in ((1, 2), (2, 2), (1, 1, 2), (2, 3)):
+            yield pytest.param(backend, shape, id=f"{backend}-{shape}")
 
 
-class TestChainGroupStructure:
-    def test_offsets_starts_and_repr_expose_the_stacking(self):
-        chains = [chain for chain, _ in _mixed_shape_items()[:6]]
-        group = ChainGroup(chains)
-        assert group.num_states == sum(c.num_states for c in chains)
-        assert group.num_transitions == sum(
-            c.num_transitions for c in chains
-        )
-        expected_offsets = np.cumsum([0] + [c.num_states for c in chains])
-        assert list(group.offsets) == list(expected_offsets[:-1])
-        assert list(group.starts) == [
-            off + c.start for off, c in zip(expected_offsets, chains)
+class TestPerItemAnswers:
+    @pytest.mark.parametrize("backend,shape", list(_backend_grid()))
+    def test_each_item_answers_like_run_queries(self, backend, shape):
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        task = leader_election(alpha.n)
+        queries = [
+            Query.probability(task, 2),
+            Query.series(task, 5),
+            Query.limit(task),
+            Query.expected_time(task),
         ]
-        text = repr(group)
-        assert f"chains={len(chains)}" in text
-        assert group.evolution in text  # the adaptive decision, exposed
+        items = [
+            (compile_chain(alpha, ports), queries)
+            for ports in (None, adversarial_assignment(shape))
+        ]
+        grouped = run_group_queries(items, backend=backend)
+        assert grouped == [
+            run_queries(chain, qs, backend=backend) for chain, qs in items
+        ]
+        if backend == "float":
+            exact = run_group_queries(items)
+            for got_row, want_row in zip(grouped, exact):
+                for got, want in zip(got_row, want_row):
+                    if isinstance(want, list):
+                        assert got == pytest.approx(
+                            [float(x) for x in want], abs=1e-12
+                        )
+                    elif want is None:
+                        assert got is None
+                    else:
+                        assert got == pytest.approx(float(want), abs=1e-12)
 
-    def test_merged_schedule_matches_single_chain_sweep(self):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 1, 3))
+    def test_items_may_be_any_iterable(self):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
         chain = compile_chain(alpha)
-        task = leader_election(5)
-        mask = chain.solvable_mask(task)
-        group = ChainGroup([chain])
-        stacked = group.reverse_sweep(
-            [[mask]],
-            accumulator_init=0.0,
-            masked_value=1.0,
-            absorbing_value=0.0,
-        )
-        from repro.chain.backends import absorption_float_matrix
+        queries = [Query.limit(leader_election(3))]
+        items = ((chain, queries) for _ in range(3))
+        assert run_group_queries(items) == [run_queries(chain, queries)] * 3
 
-        single = absorption_float_matrix(
-            chain, np.asarray([mask], dtype=bool)
-        )
-        assert np.allclose(stacked, single, atol=1e-15)
-
-    def test_state_budget_splits_chunks(self, monkeypatch):
-        items = _mixed_shape_items()
-        monkeypatch.setattr(multi_module, "MAX_GROUP_STATES", 8)
-        plan = MultiQueryPlan(items)
-        chunks = plan._chunks()
-        assert len(chunks) > 1
-        assert sorted(i for chunk in chunks for i in chunk) == list(
-            range(len(items))
-        )
-        # Oversized chains still get a (singleton) chunk of their own.
-        results = plan.execute(backend="float")
-        assert len(results) == len(items)
-        grouped_exact = plan.execute(backend="exact")
-        assert grouped_exact == _per_chain(items, "exact")
-
-
-class TestAdaptiveEvolution:
-    def test_strategy_follows_density_below_the_hard_cap(self):
-        from repro.chain import DENSE_STATE_LIMIT
-        from repro.chain.backends import (
-            DENSE_ALWAYS_STATES,
-            DENSE_DENSITY_FLOOR,
-        )
-
-        assert evolution_strategy(DENSE_STATE_LIMIT + 1, 10**9) == "scatter"
-        assert evolution_strategy(DENSE_ALWAYS_STATES, 1) == "dense"
-        states = DENSE_ALWAYS_STATES * 2
-        dense_nnz = int(states * states * DENSE_DENSITY_FLOOR) + 1
-        assert evolution_strategy(states, dense_nnz) == "dense"
-        assert evolution_strategy(states, states) == "scatter"
-
-    def test_plan_and_batch_reprs_expose_the_decision(self):
-        from repro.chain import QueryBatch, QueryPlan
-
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
+    def test_a_repeated_chain_answers_each_item_separately(self):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 1, 2))
         chain = compile_chain(alpha)
-        task = leader_election(5)
-        plan = QueryPlan(chain, [Query.limit(task)])
-        assert plan.evolution in ("dense", "scatter")
-        assert plan.evolution in repr(plan)
-        batch = QueryBatch(chain)
-        batch.limit(task)
-        assert plan.evolution in repr(batch)
+        first = [Query.limit(leader_election(4))]
+        second = [Query.series(k_leader_election(4, 2), 3)]
+        assert run_group_queries([(chain, first), (chain, second)]) == [
+            run_queries(chain, first),
+            run_queries(chain, second),
+        ]
+
+    def test_unknown_backend_rejected(self):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
+        items = [(compile_chain(alpha), [Query.limit(leader_election(3))])]
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_group_queries(items, backend="bogus")

@@ -1,17 +1,16 @@
-"""Multi-sweep telemetry and models tables in one warehouse.
+"""Multi-sweep telemetry tables in one warehouse.
 
 The cross-run analytics tier (`repro.obs.analyze`) assumes the
 warehouse keeps telemetry from *different* traced sweeps apart: rows
 carry their sweep's clock stamp and master seed, and both must survive
 segment writes and compaction so `metrics history --master-seed` and
-`obs diff` read clean per-sweep slices.  Same for the versioned
-``models`` table the calibration pass appends to.
+`obs diff` read clean per-sweep slices.
 """
 
 import pytest
 
 from repro.results import ResultsStore, col
-from repro.results.store import MODEL_COLUMNS, TELEMETRY_COLUMNS
+from repro.results.store import TELEMETRY_COLUMNS
 
 
 def sweep_rows(stamp, master_seed, jobs):
@@ -68,22 +67,22 @@ class TestMultiSweepTelemetry:
         assert counters.column("master_seed").tolist() == [0, 7]
 
 
-class TestModelsTable:
-    def test_models_rows_survive_compaction_in_append_order(self, tmp_path):
-        from repro.obs.calibrate import model_row
-        from repro.obs.policy import CostModel
-
+class TestLegacyModelsTable:
+    def test_an_old_models_table_reads_as_a_generic_table(self, tmp_path):
+        # Older warehouses hold a ``models`` table of fitted cost models;
+        # nothing writes it any more, but it stays an ordinary table.
+        schema = {"stamp": "float", "digest": "str", "target": "str",
+                  "coef": "str", "rows": "int"}
         store = ResultsStore(tmp_path / "warehouse")
-        old = CostModel("evolve.dense", ("log2_states", "log2_nnz"),
-                        (-20.0, 1.0, 0.5))
-        new = CostModel("evolve.dense", ("log2_states", "log2_nnz"),
-                        (-19.0, 1.1, 0.4))
-        store.append_rows("models", [model_row(old, 100.0)], MODEL_COLUMNS)
-        store.append_rows("models", [model_row(new, 200.0)], MODEL_COLUMNS)
+        for stamp, digest in ((100.0, "aa"), (200.0, "bb")):
+            store.append_rows(
+                "models",
+                [{"stamp": stamp, "digest": digest, "target": "evolve.dense",
+                  "coef": "[1.0]", "rows": 8}],
+                schema,
+            )
         store.compact()
-        digests = store.table("models").column("digest").tolist()
-        assert digests == [old.digest(), new.digest()]
-        # Latest-wins load order is what the policy depends on.
-        from repro.obs.calibrate import load_cost_models
-
-        assert load_cost_models(store)["evolve.dense"] == new
+        reopened = ResultsStore(tmp_path / "warehouse")
+        assert reopened.table("models").column("digest").tolist() == [
+            "aa", "bb"
+        ]

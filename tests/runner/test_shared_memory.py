@@ -140,12 +140,10 @@ class TestPooledSharedMemorySweeps:
         assert published, "cache-warm re-run should publish shared chains"
         assert _strip_timing(again.records) == _strip_timing(outcome.records)
 
-    def test_grouped_pooled_sweep_byte_identical_to_serial(self, tmp_path):
-        """The ISSUE 4 contract: a 2-worker sweep dispatched as group
-        payloads (one shm attach + one grouped pass per payload) writes
-        a run directory byte-identical to a serial one, and both match
-        an ungrouped (--no-group-chains) serial baseline."""
-        from repro.chain import configure_grouping
+    def test_grouped_pooled_dispatch_byte_identical_to_serial(self, tmp_path):
+        """A 2-worker sweep dispatched as group payloads (one shm attach
+        per payload) writes a run directory byte-identical to a serial
+        one."""
         from repro.runner.worker import execute_run_group
 
         captured = []
@@ -162,11 +160,6 @@ class TestPooledSharedMemorySweeps:
             engine=SpyPool(workers=2),
             run_dir=tmp_path / "pooled",
         )
-        configure_grouping(False)
-        try:
-            ungrouped = run_sweep(_sweep(), engine=SerialEngine())
-        finally:
-            configure_grouping(True)
         # The pool really ran group payloads, several jobs per payload.
         fn, payloads = captured[0]
         assert fn is execute_run_group
@@ -174,9 +167,6 @@ class TestPooledSharedMemorySweeps:
         assert len(payloads) < serial.total
         assert sum(len(p["jobs"]) for p in payloads) == serial.total
         assert _strip_timing(serial.records) == _strip_timing(pooled.records)
-        assert _strip_timing(serial.records) == _strip_timing(
-            ungrouped.records
-        )
         for run in ("serial", "pooled"):
             lines = (tmp_path / run / "records.jsonl").read_text()
             loaded = [json.loads(line) for line in lines.splitlines()]
@@ -240,9 +230,9 @@ class TestProcessContext:
         run_sweep(_sweep(), engine=ProcessPoolEngine(workers=2))
         assert disk_cache() is installed
 
-    def test_no_batch_travels_in_every_pool_payload(self):
+    def test_quotient_mode_travels_in_every_pool_payload(self):
         from repro.analysis import iter_all_experiments
-        from repro.chain import configure_batching
+        from repro.chain import configure_quotient
 
         captured = []
 
@@ -253,35 +243,13 @@ class TestProcessContext:
                 captured.extend(payloads)
                 return iter(())
 
-        configure_batching(False)
+        configure_quotient("on")
         try:
             list(iter_all_experiments(engine=SpyEngine()))
         finally:
-            configure_batching(True)
+            configure_quotient("off")
         assert captured and all(
-            payload["batch"] is False for payload in captured
-        )
-
-    def test_no_group_chains_travels_in_every_pool_payload(self):
-        from repro.analysis import iter_all_experiments
-        from repro.chain import configure_grouping
-
-        captured = []
-
-        class SpyEngine:
-            name = "spy"
-
-            def map(self, fn, payloads):
-                captured.extend(payloads)
-                return iter(())
-
-        configure_grouping(False)
-        try:
-            list(iter_all_experiments(engine=SpyEngine()))
-        finally:
-            configure_grouping(True)
-        assert captured and all(
-            payload["group_chains"] is False for payload in captured
+            payload["quotient"] == "on" for payload in captured
         )
 
     def test_pooled_experiments_get_a_published_chain_manifest(self):

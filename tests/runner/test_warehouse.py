@@ -5,12 +5,16 @@ import json
 
 import pytest
 
-from repro.chain import MAX_GROUP_STATES, clear_memo, compile_chain
+from repro.chain import clear_memo, compile_chain
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
 from repro.results import ResultsStore
 from repro.runner import ProcessPoolEngine, SweepSpec, run_sweep
-from repro.runner.sweep import _family_state_weight, _group_job_payloads
+from repro.runner.sweep import (
+    GROUP_STATE_CAP,
+    _family_state_weight,
+    _group_job_payloads,
+)
 
 
 @pytest.fixture
@@ -145,7 +149,7 @@ class TestStateBudgetPacking:
             total = sum(families.values())
             # Either the bin fits the budget or it is a single family
             # too big to split.
-            assert total <= MAX_GROUP_STATES or len(families) == 1
+            assert total <= GROUP_STATE_CAP or len(families) == 1
 
     def test_weight_uses_compiled_states_when_available(self):
         shape = (2, 3)
