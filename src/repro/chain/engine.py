@@ -5,7 +5,9 @@ of one ``(alpha, ports)`` pair exactly once and emits a
 :class:`CompiledChain`: interned states (dense integer ids over
 restricted-growth label vectors), sparse integer transition arrays, and
 states topologically sorted by block count so absorption probabilities
-and hitting times solve in a single reverse pass.
+and hitting times solve in a single reverse pass.  The exploration loop
+(:func:`explore`) is shared with the symmetry-quotient compiler
+(:mod:`repro.chain.quotient`), which passes an orbit fold.
 
 Transition weights are stored as integer counts out of ``2^(k-1)``
 enumerated source-bit vectors (bit vectors and their complements refine
@@ -51,6 +53,7 @@ from .interning import (
     block_sizes,
     blocks_from_labels,
     canonical_labels,
+    rgs_rows,
 )
 
 #: Refuse chains that would be astronomically large.
@@ -564,39 +567,124 @@ class CompiledChain:
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
-def _compile(
-    key: ChainKey, alpha: RandomnessConfiguration
-) -> CompiledChain:
-    """Explore the reachable space once and freeze it into arrays."""
-    assignment, neigh, back = key
-    n, k = alpha.n, alpha.k
+#: Expansions with at least this many bit rows canonicalize them as one
+#: array (:func:`~repro.chain.interning.rgs_rows`); below it the
+#: per-row dict loop is cheaper than the array calls' fixed cost.
+VECTOR_MIN_ROWS = 32
+
+
+def node_bit_rows(assignment, k: int) -> np.ndarray:
+    """Per-node source bits for every enumerated source-bit vector.
+
+    Bit vectors and their complements refine identically, so the first
+    source's bit is fixed to halve the enumeration (the seed trick):
+    an ``int8`` array of ``2^(k-1)`` rows, row ``r``'s entry ``i``
+    being node ``i``'s bit.  Computed once per chain, not per state.
+    """
+    source_bits = np.array(
+        [(0, *rest) for rest in itertools.product((0, 1), repeat=k - 1)],
+        dtype=np.int8,
+    )
+    return np.ascontiguousarray(source_bits[:, list(assignment)])
+
+
+def successor_labels(
+    labels: LabelVector,
+    bit_rows,
+    neigh: "tuple[tuple[int, ...], ...] | None",
+    back: "tuple[tuple[int, ...], ...] | None",
+) -> list[LabelVector]:
+    """Every refinement of one state, one per row of ``bit_rows``.
+
+    Equal to ``[refine_labels(labels, row, neigh, back) for row in
+    bit_rows]``, but the part of each node's refinement key that does
+    not depend on the bits -- its label and what it receives from its
+    neighbours (plus back ports) -- is canonicalized once, into ``s``.
+    Two nodes then share a refined block iff they agree on ``s`` and on
+    their bit, i.e. iff ``2*s[i] + bit[i]`` agree: the same equality
+    pattern as :func:`refine_labels`' keys, hence the same RGS.
+    ``bit_rows`` is a ``(rows, n)`` 0/1 matrix (see
+    :func:`node_bit_rows`).
+    """
+    n = len(labels)
+    if neigh is None:
+        s = labels
+    else:
+        s = canonical_labels(
+            [
+                (
+                    labels[i],
+                    tuple(labels[j] for j in neigh[i]),
+                    None if back is None else back[i],
+                )
+                for i in range(n)
+            ]
+        )
+    bit_rows = np.asarray(bit_rows, dtype=np.int8)
+    if len(bit_rows) >= VECTOR_MIN_ROWS:
+        keys = bit_rows + np.array(s, dtype=np.int8) * 2
+        return list(zip(*rgs_rows(keys, 2 * n).T.tolist()))
+    doubled = [2 * value for value in s]
+    out = []
+    for row in bit_rows.tolist():
+        relabel: dict[int, int] = {}
+        refined = []
+        for value, bit in zip(doubled, row):
+            value += bit
+            index = relabel.get(value)
+            if index is None:
+                index = relabel[value] = len(relabel)
+            refined.append(index)
+        out.append(tuple(refined))
+    return out
+
+
+def explore(key: ChainKey, alpha: RandomnessConfiguration, fold=None):
+    """The state-expansion loop shared by the full and quotient compilers.
+
+    Explores the states reachable from the single-block start state
+    once, expanding each with :func:`successor_labels` over the chain's
+    :func:`node_bit_rows`.  ``fold`` maps every label vector to the
+    state it is interned as: ``None`` keeps every state (the full
+    chain); :meth:`repro.chain.quotient.OrbitIndex.representative`
+    folds each to its orbit representative, so only representatives are
+    expanded and transition counts lump whole orbits.
+
+    Returns ``(labels, out)`` topologically sorted: ascending block
+    count (refinement strictly increases it except for self-loops, and
+    block counts are orbit-constant), ties broken by label vector for
+    determinism; ``out[sid]`` is the sorted ``(dst, count)`` tuple.
+    """
+    assignment, neigh, back = key[:3]
+    bit_rows = node_bit_rows(assignment, alpha.k)
     table = StateTable()
-    start = table.intern((0,) * n)
-    transitions: list[dict[int, int]] = []
-    frontier = [start]
+    start = (0,) * alpha.n
+    frontier = [table.intern(start if fold is None else fold(start))]
+    # transitions[sid]: successor id -> count (ids are dense, as interned).
+    transitions: list[dict[int, int]] = [{}]
     while frontier:
         sid = frontier.pop()
-        while len(transitions) <= sid:
-            transitions.append({})
+        refined: dict[LabelVector, int] = {}
+        for nxt in successor_labels(
+            table.labels_of(sid), bit_rows, neigh, back
+        ):
+            refined[nxt] = refined.get(nxt, 0) + 1
         counts = transitions[sid]
-        labels = table.labels_of(sid)
-        # Bit vectors and their complements refine identically; fix the
-        # first source's bit to halve the enumeration (the seed trick).
-        for rest in itertools.product((0, 1), repeat=k - 1):
-            source_bits = (0, *rest)
-            node_bits = tuple(source_bits[assignment[i]] for i in range(n))
-            nxt_labels = refine_labels(labels, node_bits, neigh, back)
-            known = table.get(nxt_labels)
+        for nxt, cnt in refined.items():
+            if fold is not None:
+                nxt = fold(nxt)
+            known = table.get(nxt)
             if known is None:
-                known = table.intern(nxt_labels)
+                known = table.intern(nxt)
+                transitions.append({})
                 frontier.append(known)
-            counts[known] = counts.get(known, 0) + 1
-    # Topological reindex: ascending block count (refinement strictly
-    # increases it except for self-loops), ties broken by label vector
-    # for determinism.
+            counts[known] = counts.get(known, 0) + cnt
     order = sorted(
         range(len(table)),
-        key=lambda sid: (block_count(table.labels_of(sid)), table.labels_of(sid)),
+        key=lambda sid: (
+            block_count(table.labels_of(sid)),
+            table.labels_of(sid),
+        ),
     )
     renumber = {old: new for new, old in enumerate(order)}
     labels = tuple(table.labels_of(old) for old in order)
@@ -609,7 +697,24 @@ def _compile(
         )
         for old in order
     )
-    return CompiledChain(key, n, k, labels, out)
+    return labels, out
+
+
+def _compile(
+    key: ChainKey, alpha: RandomnessConfiguration
+) -> CompiledChain:
+    """The full chain: :func:`explore` with no fold, frozen into arrays.
+
+    The quotient compiler (:func:`repro.chain.quotient.compile_quotient`)
+    runs the same loop with an orbit fold.  Both spend their time in two
+    kernels: :func:`successor_labels`, which expands a state into all
+    its refinements from one bit-independent key per node, and -- for
+    the quotient only -- :class:`~repro.chain.quotient.OrbitIndex`'s
+    array orbit closure, which maps each refinement to its orbit's
+    representative.
+    """
+    labels, out = explore(key, alpha)
+    return CompiledChain(key, alpha.n, alpha.k, labels, out)
 
 
 #: Process-wide memo: one compilation per structural chain, ever.
@@ -745,13 +850,17 @@ __all__ = [
     "DEFAULT_DISTRIBUTION_CACHE_CAP",
     "DENSE_STATE_LIMIT",
     "MAX_NODES",
+    "VECTOR_MIN_ROWS",
     "back_port_tables",
     "chain_key",
     "clear_memo",
     "compile_chain",
+    "explore",
     "memo_size",
     "memoized_chain",
     "neighbour_tables",
+    "node_bit_rows",
     "refine_labels",
     "set_distribution_cache_cap",
+    "successor_labels",
 ]

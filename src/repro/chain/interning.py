@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 #: A canonical label vector: ``labels[i]`` is node ``i``'s block index,
 #: blocks numbered in order of first appearance (restricted growth).
 LabelVector = tuple[int, ...]
@@ -39,6 +41,33 @@ def canonical_labels(raw: Sequence[int]) -> LabelVector:
             index = relabel[value] = len(relabel)
         out.append(index)
     return tuple(out)
+
+
+def rgs_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """Row-wise :func:`canonical_labels` of an ``(m, n)`` integer matrix.
+
+    Entries must lie in ``[0, width)``; the result is an ``(m, n)``
+    ``int8`` matrix of RGS rows (a transposed view of column-major
+    storage, so its columns are contiguous).  The columns are scanned
+    left to right against one ``width``-entry table per row: a value
+    not seen before in its row opens the row's next block, a value seen
+    before takes that block's number.  Every temporary is one column
+    long, so memory stays at ``O(m * width)`` bytes.
+    """
+    m, n = rows.shape
+    base = np.arange(0, m * width, width)
+    block = np.full(m * width, -1, dtype=np.int8)
+    count = np.zeros(m, dtype=np.int8)
+    out = np.empty((n, m), dtype=np.int8)
+    for column in range(n):
+        cells = base + rows[:, column]
+        labels = block[cells]
+        fresh = labels < 0
+        np.copyto(labels, count, where=fresh)
+        count += fresh
+        block[cells] = labels
+        out[column] = labels
+    return out.T
 
 
 def labels_from_blocks(blocks: Iterable[Iterable[int]]) -> LabelVector:
@@ -112,4 +141,5 @@ __all__ = [
     "blocks_from_labels",
     "canonical_labels",
     "labels_from_blocks",
+    "rgs_rows",
 ]

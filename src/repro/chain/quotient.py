@@ -32,35 +32,42 @@ For any ``g in G`` with source relabeling ``h``:
   masses, absorption probabilities, and expected hitting times from the
   start state are the same ``Fraction`` values on either chain.
 
+Compilation
+-----------
+:func:`compile_quotient` runs the full compiler's own state-expansion
+loop (:func:`~repro.chain.engine.explore`) with a fold: every refined
+label vector is mapped to its orbit representative, the lexicographic
+minimum of the orbit (the role Lyndon words play for necklaces), before
+it is interned.  :class:`OrbitIndex` finds representatives by closing
+each orbit once, breadth-first over whole frontier layers held as
+``int8`` arrays, and caches every member it finds, so the orbit sizes
+come out of the same pass.
+
 A :class:`QuotientChain` is a plain :class:`~repro.chain.engine
-.CompiledChain` over orbit-representative label vectors (the lexicographic
-minimum of each orbit), so the batch, multi, shm, cache, and memo layers
-all operate on it unchanged; its key is the structural key plus a
-``"quotient"`` tag, so every digest (process memo, disk cache, shared
-memory, cross-run query memo) separates the two compilations for free.
+.CompiledChain` over orbit-representative label vectors, so the batch,
+multi, shm, cache, and memo layers all operate on it unchanged; its key
+is the structural key plus a ``"quotient"`` tag, so every digest
+(process memo, disk cache, shared memory, cross-run query memo)
+separates the two compilations for free.
 
 The group is never enumerated as ``n!`` permutations: blackboard
-configurations get combinatorial generators (within-group transpositions
-plus equal-size group swaps), and port structures are propagated from
-the image of node 0 (a port-preserving automorphism of a connected
-structure is determined by one image), giving at most ``n`` candidates.
-Disconnected or otherwise undetermined structures degrade to the trivial
-group -- the quotient is simply not taken.
+configurations get combinatorial generators (star transpositions within
+each source group plus swaps of equal-size groups), and port structures
+are propagated from the image of node 0 (a port-preserving automorphism
+of a connected structure is determined by one image), giving at most
+``n`` candidates.  Disconnected or otherwise undetermined structures
+degrade to the trivial group -- the quotient is simply not taken.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
+import numpy as np
+
 from ..randomness.configuration import RandomnessConfiguration
-from .engine import ChainKey, CompiledChain, refine_labels
-from .interning import (
-    LabelVector,
-    StateTable,
-    block_count,
-    canonical_labels,
-)
+from .engine import ChainKey, CompiledChain, explore
+from .interning import LabelVector, rgs_rows
 
 #: The key tag distinguishing a quotient compilation from the full one.
 QUOTIENT_TAG = "quotient"
@@ -221,26 +228,32 @@ def is_chain_automorphism(key: ChainKey, perm) -> bool:
 
 
 def _blackboard_generators(assignment) -> tuple[tuple[int, ...], ...]:
-    """Generators of the full blackboard group: any permutation within a
-    source group, plus swaps of equal-size groups (wreath product)."""
+    """Generators of the full blackboard group (a wreath product): any
+    permutation within a source group, plus swaps of equal-size groups.
+
+    Star transpositions -- the first member with each other member, the
+    first group of a size with each other group of that size -- generate
+    each symmetric factor with ``m - 1`` generators and Cayley diameter
+    ``floor(3 (m - 1) / 2)``, so an orbit closes in few breadth-first
+    layers with few images per member.
+    """
     n = len(assignment)
     groups: dict[int, list[int]] = {}
     for node, source in enumerate(assignment):
         groups.setdefault(source, []).append(node)
-    members = list(groups.values())
     identity = list(range(n))
     gens: list[tuple[int, ...]] = []
-    for nodes in members:
-        for a, b in zip(nodes, nodes[1:]):
+    by_size: dict[int, list[list[int]]] = {}
+    for nodes in groups.values():
+        by_size.setdefault(len(nodes), []).append(nodes)
+        for b in nodes[1:]:
             g = identity.copy()
-            g[a], g[b] = b, a
+            g[nodes[0]], g[b] = b, nodes[0]
             gens.append(tuple(g))
-    for x in range(len(members)):
-        for y in range(x + 1, len(members)):
-            if len(members[x]) != len(members[y]):
-                continue
+    for same in by_size.values():
+        for other in same[1:]:
             g = identity.copy()
-            for a, b in zip(members[x], members[y]):
+            for a, b in zip(same[0], other):
                 g[a], g[b] = b, a
             gens.append(tuple(g))
     return tuple(gens)
@@ -352,28 +365,66 @@ def automorphism_count(key: ChainKey) -> int:
 # ----------------------------------------------------------------------
 # Orbits
 # ----------------------------------------------------------------------
-def _apply_permutation(labels: LabelVector, g) -> LabelVector:
-    """The action of node permutation ``g`` on a label vector: node
-    ``g[i]`` takes node ``i``'s block, then re-canonicalize."""
-    raw = [0] * len(labels)
-    for i, label in enumerate(labels):
-        raw[g[i]] = label
-    return canonical_labels(raw)
+#: Image rows per closure step: bounds the closure's transient arrays
+#: (a chunk of ``int8`` rows and their ``int64`` codes) to well under a
+#: megabyte, whatever the orbit or generator-set size.
+CLOSURE_CHUNK_ROWS = 8192
+
+
+def row_codes(rows: np.ndarray) -> np.ndarray:
+    """Each row as one ``int64`` base-``n`` number.
+
+    Rows have fixed length ``n`` and digits in ``[0, n)``, so code order
+    is lexicographic row order; ``n <= MAX_NODES = 10`` keeps every
+    code below ``10**10 < 2**63``.
+    """
+    n = rows.shape[1]
+    codes = rows[:, 0].astype(np.int64)
+    for column in range(1, n):
+        codes *= n
+        codes += rows[:, column]
+    return codes
+
+
+def code_labels(code: int, n: int) -> LabelVector:
+    """The label vector of one base-``n`` code (inverse of
+    :func:`row_codes`)."""
+    digits = []
+    for _ in range(n):
+        code, digit = divmod(code, n)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 class OrbitIndex:
     """Lazy full-state to orbit-representative map under a generator set.
 
-    The representative is the lexicographic minimum of the orbit; every
-    member found during one closure is cached, so the total work over a
-    compilation is ``O(reachable states * |generators| * n)`` -- never
-    ``|G|`` per state.
+    The representative is the lexicographic minimum of the orbit.  A
+    miss closes the orbit breadth-first, one whole frontier layer at a
+    time: the layer is an ``int8`` array, its images under every
+    generator are one fancy index (``frontier[:, inverses]``), and they
+    are canonicalized (:func:`~repro.chain.interning.rgs_rows`),
+    encoded (:func:`row_codes`) and deduplicated against the sorted
+    codes seen so far with array operations, in chunks of
+    :data:`CLOSURE_CHUNK_ROWS` image rows.  Every member is cached, so
+    each reachable orbit is closed once per compilation: the work is
+    ``O(|orbit| * |generators| * n)`` array element operations per
+    orbit, never ``|G|`` per state.
     """
 
-    __slots__ = ("generators", "_reps", "orbit_sizes")
+    __slots__ = ("generators", "_inverses", "_reps", "orbit_sizes")
 
     def __init__(self, generators):
         self.generators = tuple(generators)
+        #: ``_inverses[g][j]`` is the node whose label ``j`` takes under
+        #: generator ``g`` (node ``g[i]`` takes node ``i``'s block).
+        self._inverses = None
+        if self.generators:
+            n = len(self.generators[0])
+            inverses = np.empty((len(self.generators), n), dtype=np.intp)
+            for row, g in enumerate(self.generators):
+                inverses[row, list(g)] = range(n)
+            self._inverses = inverses
         self._reps: dict[LabelVector, LabelVector] = {}
         #: Representative label vector -> orbit cardinality.
         self.orbit_sizes: dict[LabelVector, int] = {}
@@ -382,19 +433,46 @@ class OrbitIndex:
         rep = self._reps.get(labels)
         if rep is not None:
             return rep
-        orbit = {labels}
-        frontier = [labels]
-        while frontier:
-            current = frontier.pop()
-            for g in self.generators:
-                image = _apply_permutation(current, g)
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        rep = min(orbit)
-        for member in orbit:
-            self._reps[member] = rep
-        self.orbit_sizes[rep] = len(orbit)
+        if self._inverses is None:
+            self._reps[labels] = labels
+            self.orbit_sizes[labels] = 1
+            return labels
+        n = len(labels)
+        frontier = np.array([labels], dtype=np.int8)
+        layers = [frontier]
+        # Sorted codes of every orbit member found so far.
+        seen = row_codes(frontier)
+        step = max(1, CLOSURE_CHUNK_ROWS // len(self._inverses))
+        while len(frontier):
+            layer = []
+            for low in range(0, len(frontier), step):
+                images = frontier[low:low + step][:, self._inverses]
+                images = rgs_rows(images.reshape(-1, n), n)
+                # Sort (code, row) pairs packed into one int64: a code
+                # is below 10**10 < 2**34 and a chunk has under 2**14
+                # rows, so the pair fits and sorts by code first.
+                shift = len(images).bit_length()
+                keyed = np.sort(
+                    (row_codes(images) << shift) | np.arange(len(images))
+                )
+                codes = keyed >> shift
+                order = keyed & ((1 << shift) - 1)
+                fresh = np.empty(len(codes), dtype=bool)
+                fresh[0] = True
+                np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
+                at = np.minimum(np.searchsorted(seen, codes), len(seen) - 1)
+                fresh &= seen[at] != codes
+                if fresh.any():
+                    layer.append(images[order[fresh]])
+                    seen = np.sort(np.concatenate((seen, codes[fresh])))
+            frontier = np.concatenate(layer) if layer else frontier[:0]
+            layers.append(frontier)
+        # The smallest code is the lexicographic minimum.
+        rep = code_labels(int(seen[0]), n)
+        reps = self._reps
+        for layer in layers:
+            reps.update(dict.fromkeys(zip(*layer.T.tolist()), rep))
+        self.orbit_sizes[rep] = len(seen)
         return rep
 
 
@@ -479,72 +557,23 @@ def compile_quotient(
     key: ChainKey, alpha: RandomnessConfiguration
 ) -> QuotientChain:
     """Compile the quotient chain for ``key`` (uncached; the memo and
-    cache flow live in :func:`~repro.chain.engine.compile_chain`)."""
-    key = quotient_key(key)
-    return _compile_quotient(key, alpha, automorphism_generators(key))
+    cache flow live in :func:`~repro.chain.engine.compile_chain`).
 
-
-def _compile_quotient(
-    key: ChainKey, alpha: RandomnessConfiguration, generators
-) -> QuotientChain:
-    """The quotient analogue of ``engine._compile``.
-
-    Identical BFS over the same halved source-bit enumeration, except
-    every refined label vector is folded to its orbit representative
-    before interning -- so only representatives are ever expanded
+    The full compiler's loop (:func:`~repro.chain.engine.explore`) with
+    every refined label vector folded to its orbit representative before
+    interning -- so only representatives are ever expanded
     (``orbits * 2^(k-1)`` refinements instead of ``states * 2^(k-1)``)
-    and the transition counts lump whole orbits.
+    and the transition counts lump whole orbits.  The single-block start
+    state is fixed by every permutation, so it is its own representative
+    (registered for the orbit-size ledger like every other orbit).
     """
-    assignment, neigh, back = base_key(key)
-    n, k = alpha.n, alpha.k
-    orbits = OrbitIndex(generators)
-    table = StateTable()
-    # The single-block start state is fixed by every permutation, so it
-    # is its own representative (registered for the orbit-size ledger).
-    start = table.intern(orbits.representative((0,) * n))
-    transitions: list[dict[int, int]] = []
-    frontier = [start]
-    while frontier:
-        sid = frontier.pop()
-        while len(transitions) <= sid:
-            transitions.append({})
-        counts = transitions[sid]
-        labels = table.labels_of(sid)
-        for rest in itertools.product((0, 1), repeat=k - 1):
-            source_bits = (0, *rest)
-            node_bits = tuple(source_bits[assignment[i]] for i in range(n))
-            nxt_labels = orbits.representative(
-                refine_labels(labels, node_bits, neigh, back)
-            )
-            known = table.get(nxt_labels)
-            if known is None:
-                known = table.intern(nxt_labels)
-                frontier.append(known)
-            counts[known] = counts.get(known, 0) + 1
-    # Same topological reindex as the full compile: block counts are
-    # orbit-constant, so the level structure survives the quotient.
-    order = sorted(
-        range(len(table)),
-        key=lambda sid: (
-            block_count(table.labels_of(sid)),
-            table.labels_of(sid),
-        ),
-    )
-    renumber = {old: new for new, old in enumerate(order)}
-    labels = tuple(table.labels_of(old) for old in order)
-    out = tuple(
-        tuple(
-            sorted(
-                (renumber[dst], cnt)
-                for dst, cnt in transitions[old].items()
-            )
-        )
-        for old in order
-    )
+    key = quotient_key(key)
+    orbits = OrbitIndex(automorphism_generators(key))
+    labels, out = explore(key, alpha, orbits.representative)
     return QuotientChain(
         key,
-        n,
-        k,
+        alpha.n,
+        alpha.k,
         labels,
         out,
         orbit_sizes=tuple(orbits.orbit_sizes[v] for v in labels),

@@ -18,16 +18,23 @@ consulted by :func:`repro.chain.engine.compile_chain` after the process
 memo but *before* the disk cache, so cache-warm chains are never
 re-read from disk by workers.
 
-Segment layout (version 1) -- everything int64 so views need no casts:
+Segment layout (version 2) -- everything int64 so views need no casts:
 
 ====================  =====================================================
 ``header[0:6]``       ``version, n, k, num_states, nnz, key_bytes``
+``header[6:10]``      SHA-256 of the ``labels`` to ``cnt`` bytes below
 ``labels``            ``num_states * n`` label-vector entries, row-major
 ``indptr``            ``num_states + 1`` CSR row offsets
 ``dst``               ``nnz`` destination state ids
 ``cnt``               ``nnz`` integer counts out of ``2^(k-1)``
 ``key``               ``key_bytes`` of pickled structural chain key
 ====================  =====================================================
+
+Attaching recomputes the digest and compares it with the header before
+building a chain, so a damaged block (a flipped byte, a truncated or
+foreign segment) is a counted miss (``chain.shm.load.miss``) and the
+worker recompiles -- never a chain with the right key but different
+transitions.
 
 :meth:`SharedChainStore.publish_group` packs a whole *group* of chains
 into **one** segment -- the per-chain blocks above laid back to back at
@@ -42,17 +49,20 @@ making every chain of a group after the first a pure pointer offset.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import pickle
 
 import numpy as np
 
+from ..obs import OBS
 from .cache import key_digest
 from .engine import ChainKey, CompiledChain
 
 #: Bump when the segment layout changes; mismatches degrade to a miss.
-LAYOUT_VERSION = 1
+LAYOUT_VERSION = 2
 
-_HEADER_WORDS = 6
+_HEADER_WORDS = 10
+_DIGEST_WORDS = 4  # header[6:10]: SHA-256 of the array bytes
 _WORD = 8  # bytes per int64/float64
 
 
@@ -90,15 +100,23 @@ def _segment_size(chain: CompiledChain, key_bytes: bytes) -> int:
     return words * _WORD + len(key_bytes)
 
 
+def _array_digest(buf, start: int, stop: int) -> bytes:
+    """SHA-256 of ``buf[start:stop]`` (the slice view is released)."""
+    with buf[start:stop] as view:
+        return hashlib.sha256(view).digest()
+
+
 def _write_chain(buf, offset: int, chain: CompiledChain, key_bytes: bytes) -> None:
-    """Write one chain block (the version-1 layout) at ``offset``."""
+    """Write one chain block (the version-2 layout) at ``offset``."""
     states, nnz = chain.num_states, chain.num_transitions
     header = np.ndarray(
         (_HEADER_WORDS,), dtype=np.int64, buffer=buf, offset=offset
     )
-    header[:] = (LAYOUT_VERSION, chain.n, chain.k, states, nnz,
-                 len(key_bytes))
+    header[:_HEADER_WORDS - _DIGEST_WORDS] = (
+        LAYOUT_VERSION, chain.n, chain.k, states, nnz, len(key_bytes)
+    )
     offset += _HEADER_WORDS * _WORD
+    arrays_start = offset
     labels = np.ndarray(
         (states, chain.n), dtype=np.int64, buffer=buf, offset=offset
     )
@@ -116,6 +134,9 @@ def _write_chain(buf, offset: int, chain: CompiledChain, key_bytes: bytes) -> No
     cnt = np.ndarray((nnz,), dtype=np.int64, buffer=buf, offset=offset)
     cnt[:] = cnt_src
     offset += nnz * _WORD
+    header[_HEADER_WORDS - _DIGEST_WORDS:] = np.frombuffer(
+        _array_digest(buf, arrays_start, offset), dtype=np.int64
+    )
     buf[offset:offset + len(key_bytes)] = key_bytes
     # Writable views into the buffer must be dropped before close() can
     # ever succeed (exporting views pin the mmap).
@@ -253,16 +274,23 @@ def attach_chain(name: str, offset: int = 0) -> CompiledChain:
     returned chain for its lifetime); the label tuples are rebuilt
     eagerly (they back the id table), and exact-backend structures stay
     lazy as usual.  Segment mappings are cached per name, so a group's
-    second chain costs no ``shm_open``.
+    second chain costs no ``shm_open``.  Raises ``ValueError`` when the
+    layout version or the array digest does not match the header.
     """
     shm = _segment(name)
     header = np.ndarray(
         (_HEADER_WORDS,), dtype=np.int64, buffer=shm.buf, offset=offset
     )
-    version, n, k, states, nnz, key_bytes = (int(x) for x in header)
+    version, n, k, states, nnz, key_bytes = (
+        int(x) for x in header[:_HEADER_WORDS - _DIGEST_WORDS]
+    )
     if version != LAYOUT_VERSION:
         raise ValueError(f"unknown shared-chain layout version {version}")
+    digest = header[_HEADER_WORDS - _DIGEST_WORDS:].tobytes()
     offset += _HEADER_WORDS * _WORD
+    arrays_stop = offset + (states * n + states + 1 + 2 * nnz) * _WORD
+    if _array_digest(shm.buf, offset, arrays_stop) != digest:
+        raise ValueError("shared-chain arrays do not match their digest")
     labels_array = np.ndarray(
         (states, n), dtype=np.int64, buffer=shm.buf, offset=offset
     )
@@ -314,10 +342,11 @@ def shared_manifest() -> dict[str, str]:
 def shared_chain(key: ChainKey) -> "CompiledChain | None":
     """The published chain for ``key``, or ``None``.
 
-    Every failure mode -- segment gone, layout mismatch, digest
-    collision -- degrades to a miss (the caller falls back to the disk
-    cache or a recompile), never to wrong results: a hit is validated
-    against the full structural key.
+    Every failure mode -- segment gone, layout mismatch, damaged arrays,
+    key-digest collision -- degrades to a counted miss
+    (``chain.shm.load.miss``; the caller falls back to the disk cache or
+    a recompile), never to wrong results: a hit's arrays match their
+    content digest and its full structural key matches ``key``.
     """
     locator = _MANIFEST.get(key_digest(key))
     if locator is None:
@@ -327,11 +356,14 @@ def shared_chain(key: ChainKey) -> "CompiledChain | None":
         chain = attach_chain(name, int(offset) if offset else 0)
     except Exception:
         # Anything: segment gone (OSError), truncated/foreign buffer
-        # (TypeError from the array views), bad layout (ValueError),
-        # garbage key bytes (arbitrary unpickling errors).  All of it
-        # must degrade to the disk-cache path, never kill the job.
-        return None
-    if chain.key != key:
+        # (TypeError from the array views), bad layout or digest
+        # (ValueError), garbage key bytes (arbitrary unpickling errors).
+        # All of it must degrade to the disk-cache path, never kill the
+        # job.
+        chain = None
+    if chain is None or chain.key != key:
+        if OBS.enabled:
+            OBS.metrics.inc("chain.shm.load.miss")
         return None
     return chain
 

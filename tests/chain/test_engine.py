@@ -11,13 +11,24 @@ realization enumeration).
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chain import (
+    back_port_tables,
     chain_key,
     clear_memo,
     compile_chain,
     memo_size,
+    neighbour_tables,
+    refine_labels,
 )
+from repro.chain.engine import (
+    VECTOR_MIN_ROWS,
+    node_bit_rows,
+    successor_labels,
+)
+from repro.chain.interning import canonical_labels
 from repro.core import (
     ConsistencyChain,
     expected_solving_time,
@@ -30,6 +41,7 @@ from repro.models import (
 )
 from repro.models.graph import GraphTopology
 from repro.randomness import RandomnessConfiguration
+from repro.runner.spec import make_ports
 
 
 class TestStructure:
@@ -191,6 +203,75 @@ class TestFacadeEquivalence:
         assert compiled.limit_solving_probability(task) == 1
         facade = ConsistencyChain(alpha, ring)
         assert facade.compiled is compiled  # memo shared across layers
+
+
+@st.composite
+def _expansions(draw):
+    """One state expansion: an RGS label vector, a node-to-source
+    assignment, a port structure, and a bit-row matrix -- either the
+    chain's own halved enumeration or arbitrary 0/1 rows, in counts on
+    both sides of :data:`VECTOR_MIN_ROWS`."""
+    shape = tuple(
+        draw(st.lists(st.integers(1, 3), min_size=1, max_size=7))
+    )
+    alpha = RandomnessConfiguration.from_group_sizes(shape)
+    n = alpha.n
+    labels = canonical_labels(
+        draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    )
+    kind = draw(
+        st.sampled_from(("blackboard", "adversarial", "round-robin", "random"))
+        if n >= 2
+        else st.just("blackboard")
+    )
+    neigh = back = None
+    if kind != "blackboard":
+        ports = make_ports(kind, shape, draw(st.integers(0, 2**16)))
+        neigh = neighbour_tables(ports)
+        if draw(st.booleans()):
+            back = back_port_tables(ports)
+    if draw(st.booleans()):
+        rows = node_bit_rows(alpha.assignment, alpha.k).tolist()
+    else:
+        count = draw(
+            st.sampled_from((0, 1, VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS))
+        )
+        rows = draw(
+            st.lists(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                min_size=count,
+                max_size=count,
+            )
+        )
+    return labels, rows, neigh, back
+
+
+class TestSuccessorKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_expansions())
+    def test_equals_one_refinement_per_bit_row(self, expansion):
+        labels, rows, neigh, back = expansion
+        want = [
+            refine_labels(labels, tuple(row), neigh, back) for row in rows
+        ]
+        assert successor_labels(labels, rows, neigh, back) == want
+
+    def test_both_paths_return_plain_int_tuples(self):
+        labels = (0, 1, 0, 2, 1)
+        for count in (VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS):
+            rows = [[(r >> i) & 1 for i in range(5)] for r in range(count)]
+            out = successor_labels(labels, rows, None, None)
+            assert len(out) == count
+            for refined in out:
+                assert type(refined) is tuple
+                assert all(type(value) is int for value in refined)
+
+    def test_bit_rows_fix_the_first_source(self):
+        alpha = RandomnessConfiguration.from_group_sizes((2, 1, 2))
+        rows = node_bit_rows(alpha.assignment, alpha.k)
+        assert rows.shape == (2 ** (alpha.k - 1), alpha.n)
+        assert not rows[:, 0].any() and not rows[:, 1].any()
+        assert len({tuple(row) for row in rows.tolist()}) == len(rows)
 
 
 class TestQuantilesAndExpectations:

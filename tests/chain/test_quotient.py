@@ -1,5 +1,6 @@
 """Quotient compilation: orbit chains byte-identical to full chains."""
 
+import hashlib
 import math
 import pickle
 
@@ -21,8 +22,10 @@ from repro.chain import (
     run_queries,
 )
 from repro.chain.cache import key_digest
-from repro.chain.quotient import QuotientChain, base_key
+from repro.chain.interning import canonical_labels
+from repro.chain.quotient import OrbitIndex, QuotientChain, base_key
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
+from repro.runner import SweepSpec
 from repro.runner import spec as runner_spec
 
 
@@ -165,6 +168,106 @@ class TestGroupStructure:
         assert not is_chain_automorphism(key, (1, 0, 2))
         assert is_chain_automorphism(key, (0, 2, 1))
         assert not is_chain_automorphism(key, (0, 0, 1))  # not a perm
+
+
+def _image(labels, g):
+    """Node ``g[i]`` takes node ``i``'s block, re-canonicalized."""
+    raw = [0] * len(labels)
+    for i, label in enumerate(labels):
+        raw[g[i]] = label
+    return canonical_labels(raw)
+
+
+class TestOrbitKernel:
+    def test_representatives_match_the_whole_group_oracle(self):
+        """Every reachable full-chain state at n <= 6 (blackboard and
+        adversarial ports) folds to the lexicographic minimum over the
+        *whole* group -- enumerated element by element, not by the
+        generator BFS the index runs -- with that orbit's size."""
+        for n in range(1, 7):
+            for shape in enumerate_size_shapes(n):
+                alpha = RandomnessConfiguration.from_group_sizes(shape)
+                kinds = (None,) if n < 2 else (None, "adversarial")
+                for kind in kinds:
+                    ports = (
+                        None
+                        if kind is None
+                        else runner_spec.make_ports(kind, shape, 0)
+                    )
+                    key = chain_key(alpha, ports)
+                    gens = automorphism_generators(key)
+                    group = _closure(n, gens)
+                    assert len(group) == automorphism_count(key)
+                    full = compile_chain(
+                        alpha, ports, use_memo=False, quotient=False
+                    )
+                    orbits = OrbitIndex(gens)
+                    for labels in full.labels:
+                        orbit = {_image(labels, g) for g in group}
+                        rep = orbits.representative(labels)
+                        assert rep == min(orbit), (shape, ports, labels)
+                        assert orbits.orbit_sizes[rep] == len(orbit)
+
+    def test_trivial_group_folds_nothing(self):
+        orbits = OrbitIndex(())
+        assert orbits.representative((0, 1, 1)) == (0, 1, 1)
+        assert orbits.orbit_sizes == {(0, 1, 1): 1}
+
+
+#: sha256 over ``repr((key, labels, out_table(), orbit_sizes))`` of every
+#: chain ``phase-diagram 7`` compiles (quotient "auto", blackboard and
+#: worst-case clique ports, in sweep order), as compiled before the
+#: shared state-expansion loop and the array orbit closure existed.
+PHASE_DIAGRAM_7_CHAINS_SHA256 = (
+    "7686a2d601a1705806db12724d76a0c4088690d72d93f6ce7f08bd1b4d9f60ea"
+)
+
+
+class TestCompiledBytesPinned:
+    def test_phase_diagram_7_chains_are_byte_identical(self):
+        digest = hashlib.sha256()
+        sweep = SweepSpec.for_total_size(
+            7,
+            models=("blackboard", "clique"),
+            ports=("adversarial",),
+            tasks=("leader",),
+        )
+        for spec in sweep.expand():
+            alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
+            ports = runner_spec.make_ports(spec.ports, spec.sizes, 0)
+            chain = compile_chain(
+                alpha, ports, use_memo=False, quotient="auto"
+            )
+            digest.update(
+                repr(
+                    (
+                        chain.key,
+                        chain.labels,
+                        chain.out_table(),
+                        getattr(chain, "orbit_sizes", None),
+                    )
+                ).encode()
+            )
+        assert digest.hexdigest() == PHASE_DIAGRAM_7_CHAINS_SHA256
+
+    def test_orbit_sizes_sum_to_the_full_state_count(self):
+        for n in range(1, 8):
+            for shape in enumerate_size_shapes(n):
+                alpha = RandomnessConfiguration.from_group_sizes(shape)
+                kinds = (None,) if n < 2 else (None, "adversarial")
+                for kind in kinds:
+                    ports = (
+                        None
+                        if kind is None
+                        else runner_spec.make_ports(kind, shape, 0)
+                    )
+                    full = compile_chain(
+                        alpha, ports, use_memo=False, quotient=False
+                    )
+                    quot = compile_chain(
+                        alpha, ports, use_memo=False, quotient=True
+                    )
+                    assert sum(quot.orbit_sizes) == full.num_states
 
 
 class TestModesAndKeys:

@@ -13,10 +13,18 @@ from repro.chain import (
     configure_shared_chains,
     shared_chain,
 )
+from repro.chain import shm as shm_module
 from repro.chain.cache import ChainDiskCache, key_digest
 from repro.core import leader_election
 from repro.models import adversarial_assignment
+from repro.obs import OBS, configure_tracing, reset_telemetry
 from repro.randomness import RandomnessConfiguration
+from repro.runner import (
+    ProcessPoolEngine,
+    SerialEngine,
+    SweepSpec,
+    run_sweep,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -208,3 +216,127 @@ class TestWorkerLookup:
             # Lie: map chain's digest at the *other* chain's segment.
             configure_shared_chains({key_digest(chain.key): name})
             assert shared_chain(chain.key) is None
+
+
+def _array_offsets(buf, offset=0):
+    """Byte offsets of one block's four arrays (layout version 2)."""
+    words = shm_module._HEADER_WORDS - shm_module._DIGEST_WORDS
+    _, n, _, states, nnz, _ = np.frombuffer(
+        bytes(buf[offset:offset + words * 8]), dtype=np.int64
+    ).tolist()
+    labels = offset + shm_module._HEADER_WORDS * 8
+    indptr = labels + states * n * 8
+    dst = indptr + (states + 1) * 8
+    cnt = dst + nnz * 8
+    return {"labels": labels, "indptr": indptr, "dst": dst, "cnt": cnt}
+
+
+def _flip(buf, at):
+    buf[at] = buf[at] ^ 1
+
+
+def _block_offset(locator):
+    """The byte offset of a ``"name@offset"`` manifest locator."""
+    return int(locator.partition("@")[2])
+
+
+class TestFailClosed:
+    """A damaged segment is a counted miss, never a chain with the right
+    key and different arrays."""
+
+    @pytest.fixture
+    def traced(self):
+        configure_tracing(True)
+        reset_telemetry()
+        yield OBS.metrics
+        configure_tracing(False)
+        reset_telemetry()
+
+    @pytest.mark.parametrize("array", ["labels", "indptr", "dst", "cnt"])
+    def test_one_flipped_byte_is_a_counted_miss(self, traced, array):
+        chain = _chain()
+        with SharedChainStore() as store:
+            name = store.publish(chain)
+            configure_shared_chains(store.manifest)
+            assert shared_chain(chain.key) is not None
+            assert traced.counter("chain.shm.load.miss") == 0
+            buf = store._segments[0].buf
+            _flip(buf, _array_offsets(buf)[array])
+            assert shared_chain(chain.key) is None
+            assert traced.counter("chain.shm.load.miss") == 1
+            with pytest.raises(ValueError):
+                attach_chain(name)
+
+    def test_damage_misses_only_the_damaged_group_member(self, traced):
+        chains = TestGroupSegments()._chains()
+        with SharedChainStore() as store:
+            store.publish_group(chains)
+            configure_shared_chains(store.manifest)
+            victim = chains[3]
+            locator = store.manifest[key_digest(victim.key)]
+            buf = store._segments[0].buf
+            _flip(buf, _array_offsets(buf, _block_offset(locator))["cnt"])
+            for chain in chains:
+                got = shared_chain(chain.key)
+                if chain is victim:
+                    assert got is None
+                else:
+                    assert got.out_table() == chain.out_table()
+            assert traced.counter("chain.shm.load.miss") == 1
+
+    def test_compile_chain_recompiles_past_a_damaged_segment(self, traced):
+        chain = _chain()
+        alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
+        with SharedChainStore() as store:
+            store.publish(chain)
+            configure_shared_chains(store.manifest)
+            buf = store._segments[0].buf
+            _flip(buf, _array_offsets(buf)["cnt"])
+            clear_memo()
+            got = compile_chain(alpha)
+            assert not hasattr(got, "_shm")
+            assert got.out_table() == chain.out_table()
+            assert traced.counter("chain.compile.hit.shm") == 0
+            assert traced.counter("chain.compile.miss") == 1
+
+    def test_pooled_sweep_over_a_damaged_store_matches_a_clean_run(
+        self, traced, monkeypatch
+    ):
+        """Every chain the sweep publishes gets one flipped ``cnt`` byte;
+        2 workers must miss, recompile, and write the clean records.
+
+        The parent's memo is dropped after publishing, so forked workers
+        start cold (as spawned ones would) and must consult the store."""
+        sweep = SweepSpec.for_total_size(
+            4, models=("blackboard", "clique"), ports=("adversarial",)
+        )
+        clean = run_sweep(sweep, engine=SerialEngine())
+        publish_group = SharedChainStore.publish_group
+        damaged = []
+
+        def publish_damaged(self, chains):
+            name = publish_group(self, chains)
+            buf = self._segments[-1].buf
+            for locator in self.manifest.values():
+                _flip(buf, _array_offsets(buf, _block_offset(locator))["cnt"])
+                damaged.append(locator)
+            clear_memo()
+            return name
+
+        monkeypatch.setattr(
+            SharedChainStore, "publish_group", publish_damaged
+        )
+        clear_memo()
+        reset_telemetry()
+        pooled = run_sweep(sweep, engine=ProcessPoolEngine(workers=2))
+
+        def strip(records):
+            return [
+                {k: v for k, v in record.items() if k != "elapsed"}
+                for record in records
+            ]
+
+        assert damaged
+        assert strip(pooled.records) == strip(clean.records)
+        assert traced.counter("chain.shm.load.miss") >= len(damaged)
+        assert traced.counter("chain.compile.hit.shm") == 0
