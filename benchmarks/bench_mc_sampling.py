@@ -30,13 +30,14 @@ import json
 import os
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
+from repro.context import current, use
 from repro.core import leader_election
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
-from repro.results.memo import configure_query_memo
 from repro.sampling import block_indicators, sample_cell, scalar_block_indicators
 
 #: The timed cells: one blackboard, one clique, both at a horizon where
@@ -86,8 +87,8 @@ def _warm_merge_timings() -> dict:
     a fresh increment vs recomputing all 20k samples."""
     alpha, task, ports = _cell((1, 2, 2), None)
     with tempfile.TemporaryDirectory() as root:
-        configure_query_memo(os.path.join(root, "memo"))
-        try:
+        memo = replace(current(), results_memo=os.path.join(root, "memo"))
+        with use(memo):
             cold_seconds, cold = _best_of(
                 lambda: sample_cell(
                     alpha, task, 6, ports, stream_seed=3, samples=10000
@@ -100,8 +101,6 @@ def _warm_merge_timings() -> dict:
                 ),
                 rounds=1,
             )
-        finally:
-            configure_query_memo(None)
     fresh_seconds, fresh = _best_of(
         lambda: sample_cell(
             alpha, task, 6, ports, stream_seed=3, samples=20000,

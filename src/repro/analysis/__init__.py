@@ -147,21 +147,23 @@ def iter_all_experiments(engine=None):
         for generator in ALL_EXPERIMENTS:
             yield generator()
         return
-    from ..runner.worker import chain_context_payload, execute_experiment
+    from dataclasses import replace
 
-    # The parent's chain context (e.g. --no-quotient) travels with every
-    # pool payload (results are identical either way).
-    context = chain_context_payload()
-    payloads = [
-        {"index": i, **context} for i in range(len(ALL_EXPERIMENTS))
-    ]
+    from ..context import current
+    from ..runner.worker import execute_experiment
+
+    # The parent's context (e.g. --no-quotient) travels with every pool
+    # payload (results are identical either way).
+    context = current()
     store = None
     if getattr(engine, "supports_shared_chains", False):
         store = _publish_experiment_chains()
         if store is not None:
-            manifest = store.manifest
-            for payload in payloads:
-                payload["chain_shm"] = manifest
+            context = replace(context, chain_shm=store.manifest)
+    payloads = [
+        {"index": i, "context": context}
+        for i in range(len(ALL_EXPERIMENTS))
+    ]
     try:
         for record in engine.map(execute_experiment, payloads):
             # Fold the worker's traced spans/counters into this process

@@ -187,16 +187,17 @@ def exhaustive_worst_case(
     if engine is None or getattr(engine, "name", "serial") == "serial":
         table = port_orbit_table(tuple(shape))
     else:
-        from ..runner.worker import chain_context_payload, execute_port_chunk
+        from ..context import current
+        from ..runner.worker import execute_port_chunk
 
-        context = chain_context_payload()
+        context = current()
 
         def evaluate(tables):
             payloads = [
                 {
                     "sizes": list(shape),
                     "tables": tables[start:start + chunk],
-                    **context,
+                    "context": context,
                 }
                 for start in range(0, len(tables), chunk)
             ]

@@ -8,13 +8,13 @@ The package-level API:
   and every query of the seed :class:`~repro.core.markov.ConsistencyChain`
   under both an exact ``Fraction`` backend and a numpy ``float64``
   backend (``backend="exact" | "float"``);
-* :func:`configure_disk_cache` -- persist compilations across worker
-  processes and runs (LRU ``max_bytes``/``max_entries`` caps optional);
+* :func:`disk_cache` -- persist compilations across worker processes
+  and runs, in the active context's ``chain_cache`` directory;
 * :func:`run_queries` / :class:`QueryBatch` -- answer whole sets of
   ``(task, horizon, quantity)`` questions against one chain in shared
   topologically-ordered passes (:mod:`repro.chain.batch`), and
   :func:`run_group_queries` -- the same for many chains in one call;
-* :class:`SharedChainStore` / :func:`configure_shared_chains` -- place
+* :class:`SharedChainStore` / :func:`shared_chain` -- place
   compiled arrays in ``multiprocessing.shared_memory`` so pool workers
   attach zero-copy views instead of re-loading from disk
   (:mod:`repro.chain.shm`).
@@ -39,7 +39,6 @@ from .batch import (
 from .cache import (
     CacheEntry,
     ChainDiskCache,
-    configure_disk_cache,
     disk_cache,
 )
 from .engine import (
@@ -75,7 +74,6 @@ from .quotient import (
 from .shm import (
     SharedChainStore,
     attach_chain,
-    configure_shared_chains,
     shared_chain,
 )
 from .interning import (
@@ -117,9 +115,7 @@ __all__ = [
     "chain_key",
     "clear_memo",
     "compile_chain",
-    "configure_disk_cache",
     "configure_quotient",
-    "configure_shared_chains",
     "disk_cache",
     "effective_chain_key",
     "evolution_strategy",

@@ -397,8 +397,8 @@ def run_queries(
 ) -> list:
     """Answer ``queries`` against ``chain``, in order.
 
-    With a query memo configured
-    (:func:`repro.results.memo.configure_query_memo`) every memoizable
+    With a query memo in the active context (``results_memo``, see
+    :mod:`repro.context`) every memoizable
     query is first looked up by content key, and only the misses pay
     for a pass -- hits are byte-identical to recomputation under the
     exact backend.  The misses run as one :class:`QueryPlan` (one

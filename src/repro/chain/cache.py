@@ -15,9 +15,9 @@ truncated, bit-flipped or foreign file is a counted miss
 (``chain.cache.load.miss``) and gets recompiled -- never an exception
 and never a chain with the right key but different transitions.
 
-The cache is opt-in: :func:`configure_disk_cache` installs a directory
-process-wide (the runner does this for sweeps given a ``--run-dir``),
-and ``configure_disk_cache(None)`` turns it back off.
+The cache is opt-in: the active context's ``chain_cache`` field names
+its directory (:mod:`repro.context`; the runner sets it for sweeps
+given a ``--run-dir``), and :func:`disk_cache` serves it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import pathlib
 import pickle
 import tempfile
 
+from .. import context as _context
 from ..obs import OBS
 from ..results.log import AppendLog
 from .engine import ChainKey, CompiledChain
@@ -355,32 +356,18 @@ class ChainDiskCache:
         return len(list(self.root.glob("*.chain.pkl")))
 
 
-#: The process-wide cache used by ``compile_chain`` (None = disabled).
+#: The cache instance serving the active context's ``chain_cache``.
 _DISK_CACHE: ChainDiskCache | None = None
 
 
-def configure_disk_cache(
-    root: "str | os.PathLike[str] | None",
-    *,
-    max_bytes: "int | None" = None,
-    max_entries: "int | None" = None,
-) -> ChainDiskCache | None:
-    """Install (or, with ``None``, remove) the process-wide disk cache.
-
-    ``max_bytes``/``max_entries`` turn on LRU eviction for the installed
-    cache (see :class:`ChainDiskCache`).
-    """
-    global _DISK_CACHE
-    _DISK_CACHE = (
-        None
-        if root is None
-        else ChainDiskCache(root, max_bytes=max_bytes, max_entries=max_entries)
-    )
-    return _DISK_CACHE
-
-
 def disk_cache() -> ChainDiskCache | None:
-    """The currently configured cache, if any."""
+    """The cache of the active context's ``chain_cache`` directory, if any."""
+    global _DISK_CACHE
+    root = _context.current().chain_cache
+    if root is None:
+        return None
+    if _DISK_CACHE is None or _DISK_CACHE.root != pathlib.Path(root):
+        _DISK_CACHE = ChainDiskCache(root)
     return _DISK_CACHE
 
 
@@ -390,7 +377,6 @@ __all__ = [
     "FILE_MAGIC",
     "STATS_FILE",
     "STATS_LOG",
-    "configure_disk_cache",
     "disk_cache",
     "key_digest",
 ]

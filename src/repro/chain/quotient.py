@@ -65,6 +65,8 @@ import math
 
 import numpy as np
 
+from .. import context as _context
+from ..context import QUOTIENT_MODES
 from ..randomness.configuration import RandomnessConfiguration
 from .engine import ChainKey, CompiledChain, explore
 from .interning import LabelVector, rgs_rows
@@ -72,14 +74,9 @@ from .interning import LabelVector, rgs_rows
 #: The key tag distinguishing a quotient compilation from the full one.
 QUOTIENT_TAG = "quotient"
 
-#: Valid process-wide quotient modes (see :func:`configure_quotient`).
-QUOTIENT_MODES = ("off", "auto", "on")
-
-_MODE = "off"
-
 
 # ----------------------------------------------------------------------
-# Keys and the process-wide mode
+# Keys and the quotient mode
 # ----------------------------------------------------------------------
 def is_quotient_key(key: ChainKey) -> bool:
     """Whether ``key`` names a quotient compilation."""
@@ -99,35 +96,25 @@ def base_key(key: ChainKey) -> ChainKey:
 
 
 def configure_quotient(mode) -> str:
-    """Set the process-wide quotient mode; returns the previous mode.
+    """Set the active context's quotient mode; returns the previous mode.
 
     ``"off"`` (the library default) always compiles the full chain;
     ``"on"`` always compiles the quotient (even when the automorphism
     group is trivial and the quotient is isomorphic to the full chain);
     ``"auto"`` (the CLI default) takes the quotient exactly when a
     nontrivial automorphism exists.  Booleans map to ``"on"``/``"off"``
-    and ``None`` to ``"off"`` so worker payloads round-trip cleanly.
+    and ``None`` to ``"off"``.
     """
-    global _MODE
-    if mode is None:
+    if mode is None or mode is False:
         mode = "off"
     elif mode is True:
         mode = "on"
-    elif mode is False:
-        mode = "off"
-    if mode not in QUOTIENT_MODES:
-        raise ValueError(
-            f"unknown quotient mode {mode!r}; expected one of "
-            f"{QUOTIENT_MODES}"
-        )
-    previous = _MODE
-    _MODE = mode
-    return previous
+    return _context.update(quotient=mode).quotient
 
 
 def quotient_mode() -> str:
-    """The currently configured process-wide quotient mode."""
-    return _MODE
+    """The active context's quotient mode."""
+    return _context.current().quotient
 
 
 def resolve_quotient(key: ChainKey, quotient=None) -> bool:
@@ -136,10 +123,10 @@ def resolve_quotient(key: ChainKey, quotient=None) -> bool:
     ``quotient`` overrides the process mode per call: ``True``/``"on"``
     forces the quotient, ``False``/``"off"`` the full chain, ``"auto"``
     takes it when a nontrivial automorphism exists, and ``None`` (the
-    default) defers to :func:`configure_quotient`.
+    default) defers to the active context (:mod:`repro.context`).
     """
     if quotient is None:
-        mode = _MODE
+        mode = _context.current().quotient
     elif quotient is True:
         mode = "on"
     elif quotient is False:

@@ -12,11 +12,12 @@ arrays straight out of the shared segment; exact-backend structures
 (``Fraction`` weights, per-state tuples) are materialized lazily per
 worker on first use.
 
-Worker-side lookup is installed with :func:`configure_shared_chains`
-(the runner does this from the job payload, next to the disk cache) and
-consulted by :func:`repro.chain.engine.compile_chain` after the process
-memo but *before* the disk cache, so cache-warm chains are never
-re-read from disk by workers.
+Worker-side lookup reads the manifest from the active context's
+``chain_shm`` field (:mod:`repro.context`; the runner ships it in the
+job payload, next to the disk cache) and is consulted by
+:func:`repro.chain.engine.compile_chain` after the process memo but
+*before* the disk cache, so cache-warm chains are never re-read from
+disk by workers.
 
 Segment layout (version 2) -- everything int64 so views need no casts:
 
@@ -54,6 +55,7 @@ import pickle
 
 import numpy as np
 
+from .. import context as _context
 from ..obs import OBS
 from .cache import key_digest
 from .engine import ChainKey, CompiledChain
@@ -249,8 +251,8 @@ class SharedChainStore:
 
 #: Worker-side segment cache: attaching a group segment once serves
 #: every chain packed inside it.  Entries are dropped (not closed --
-#: attached chains pin their mapping via ``chain._shm``) whenever the
-#: manifest changes.
+#: attached chains pin their mapping via ``chain._shm``) whenever a
+#: context with a different manifest is entered.
 _ATTACHED: dict[str, "object"] = {}
 
 
@@ -315,28 +317,21 @@ def attach_chain(name: str, offset: int = 0) -> CompiledChain:
 
 
 # ----------------------------------------------------------------------
-# Worker-side lookup (installed per job payload by the runner)
+# Worker-side lookup (the manifest travels in the job payload's context)
 # ----------------------------------------------------------------------
-_MANIFEST: dict[str, str] = {}
+#: The manifest the cached segments in ``_ATTACHED`` were attached under.
+_ATTACHED_FOR: dict[str, str] = {}
 
 
-def configure_shared_chains(manifest: "dict[str, str] | None") -> None:
-    """Install (or, with ``None``/empty, remove) the attach manifest.
-
-    A manifest change also drops the per-name segment cache: already-
-    attached chains keep their own mapping pinned (``chain._shm``), so
-    dropping the cache references never invalidates live views.
-    """
-    global _MANIFEST
-    fresh = dict(manifest) if manifest else {}
-    if fresh != _MANIFEST:
+def _drop_stale_segments(context) -> None:
+    global _ATTACHED_FOR
+    manifest = context.chain_shm
+    if manifest and manifest != _ATTACHED_FOR:
         _ATTACHED.clear()
-    _MANIFEST = fresh
+        _ATTACHED_FOR = manifest
 
 
-def shared_manifest() -> dict[str, str]:
-    """The currently installed manifest (a copy)."""
-    return dict(_MANIFEST)
+_context.on_enter(_drop_stale_segments)
 
 
 def shared_chain(key: ChainKey) -> "CompiledChain | None":
@@ -348,7 +343,8 @@ def shared_chain(key: ChainKey) -> "CompiledChain | None":
     a recompile), never to wrong results: a hit's arrays match their
     content digest and its full structural key matches ``key``.
     """
-    locator = _MANIFEST.get(key_digest(key))
+    manifest = _context.current().chain_shm
+    locator = manifest.get(key_digest(key)) if manifest else None
     if locator is None:
         return None
     name, _, offset = locator.partition("@")
@@ -372,7 +368,5 @@ __all__ = [
     "LAYOUT_VERSION",
     "SharedChainStore",
     "attach_chain",
-    "configure_shared_chains",
     "shared_chain",
-    "shared_manifest",
 ]

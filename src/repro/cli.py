@@ -101,9 +101,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .chain import BACKENDS
+from .context import current, use
 from .core import ConsistencyChain
 from .core.tasks import SymmetryBreakingTask
 from .models import PortAssignment
@@ -1115,7 +1117,6 @@ def cmd_run(args) -> int:
     import json
 
     from .runner import RunSpec, execute_run
-    from .runner.worker import chain_context_payload
 
     try:
         spec = RunSpec(
@@ -1134,10 +1135,7 @@ def cmd_run(args) -> int:
         "spec": spec.to_dict(),
         "master_seed": args.master_seed,
         "index": 0,
-        # Carry the parent's chain context (including the tracing
-        # flag) exactly as sweep payloads do, so `repro trace run`
-        # stays traced through the worker's context application.
-        **chain_context_payload(),
+        "context": current(),
     }
     warehouse = _warehouse_from(args)
     if warehouse:
@@ -1146,7 +1144,9 @@ def cmd_run(args) -> int:
         # larger --samples budget computes only the increment.
         from .results.store import ResultsStore
 
-        payload["results_memo"] = str(ResultsStore(warehouse).memo_dir)
+        payload["context"] = replace(
+            current(), results_memo=str(ResultsStore(warehouse).memo_dir)
+        )
     if args.progress:
         # One job, no run directory: the lightweight stderr form only.
         print(f"progress: 0/1 {spec.job_key}", file=sys.stderr)
@@ -1180,19 +1180,21 @@ def cmd_estimate(args) -> int:
         adaptive_estimate,
         estimate_solving_probability,
     )
-    from .results.memo import configure_query_memo
 
     alpha = RandomnessConfiguration.from_group_sizes(args.sizes)
     task = _make_task(args.task, alpha.n)
     ports = None
     if args.model == "clique":
         ports = _make_ports(args.ports, args.sizes, args.seed)
+    context = current()
     warehouse = _warehouse_from(args)
     if warehouse:
         from .results.store import ResultsStore
 
-        configure_query_memo(str(ResultsStore(warehouse).memo_dir))
-    try:
+        context = replace(
+            context, results_memo=str(ResultsStore(warehouse).memo_dir)
+        )
+    with use(context):
         if args.target_width is not None:
             estimate = adaptive_estimate(
                 alpha,
@@ -1217,9 +1219,6 @@ def cmd_estimate(args) -> int:
                 seed=args.seed,
                 method=args.method,
             )
-    finally:
-        if warehouse:
-            configure_query_memo(None)
     print(
         json.dumps(
             {
@@ -1709,43 +1708,41 @@ def main(argv: Sequence[str] | None = None) -> int:
         traced = True
     parser = build_parser()
     args = parser.parse_args(argv)
+    profile_out = getattr(args, "profile_out", None)
+    # Tracing is ORed onto the inherited flag: a caller that turned it
+    # on before ``main`` keeps it on.
+    changes = {"trace": current().trace or traced or bool(profile_out)}
     if hasattr(args, "quotient"):
-        from .chain import configure_quotient
-
         # Tri-state: the flag absent means "auto" (quotient whenever
-        # the configuration's automorphism group is nontrivial); the
-        # sweep payloads forward the resolved mode into pool workers.
-        configure_quotient(
+        # the configuration's automorphism group is nontrivial); pool
+        # payloads carry the context into workers.
+        changes["quotient"] = (
             "auto" if args.quotient is None
             else "on" if args.quotient else "off"
         )
-    profile_out = getattr(args, "profile_out", None)
-    if traced or profile_out:
-        from .obs import configure_tracing
+    with use(replace(current(), **changes)):
+        from .obs import OBS, trace
 
-        configure_tracing(True)
-    from .obs import OBS, trace
-
-    if OBS.enabled:
-        with trace(f"repro.{args.command}"):
+        if OBS.enabled:
+            with trace(f"repro.{args.command}"):
+                status = args.func(args)
+        else:
             status = args.func(args)
-    else:
-        status = args.func(args)
-    if profile_out:
-        import json
+        if profile_out:
+            import json
 
-        from .obs import build_profile
+            from .obs import build_profile
 
-        document = build_profile(command=args.command, argv=tuple(argv))
-        with open(profile_out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote profile to {profile_out}")
-    if traced:
-        from .obs import render_span_tree
+            document = build_profile(command=args.command, argv=tuple(argv))
+            with open(profile_out, "w", encoding="utf-8") as handle:
+                json.dump(document, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            print(f"wrote profile to {profile_out}")
+        if traced:
+            from .obs import render_span_tree
 
-        print()
-        print(render_span_tree())
+            print()
+            print(render_span_tree())
     return status
 
 

@@ -39,8 +39,9 @@ Telemetry never enters job records: workers attach their drained
 snapshot *next to* the record payload, the sweep orchestrator pops and
 folds it before records are persisted, and record bytes are identical
 with tracing on or off.  This package imports nothing from the rest of
-``repro`` at module level, so any tier can instrument itself without
-import cycles.  See ``OBS.md`` for the instrumentation map.
+``repro`` at module level but the dependency-free :mod:`repro.context`,
+so any tier can instrument itself without import cycles.  See
+``OBS.md`` for the instrumentation map.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .live import (
     HeartbeatEmitter,
     LiveConfig,
     SweepMonitor,
-    configure_heartbeat,
     monitored_map,
 )
 from .metrics import (
@@ -71,6 +71,7 @@ from .profile import (
     span_aggregates,
     telemetry_rows,
 )
+from .. import context as _context
 from . import trace as _trace_module
 from .trace import Span, TRACER, Tracer, trace
 
@@ -79,9 +80,9 @@ class Observability:
     """The process-wide observability facade (see :data:`OBS`).
 
     ``enabled`` is a plain attribute -- hot paths read it with one
-    attribute load and branch, never a function call.  It is flipped
-    only by :func:`configure_tracing`, which keeps the tracer module's
-    own fast-path flag in sync.
+    attribute load and branch, never a function call.  It mirrors the
+    active context's ``trace`` field and is re-synced, together with the
+    tracer module's own fast-path flag, whenever a context is entered.
     """
 
     __slots__ = ("enabled", "tracer", "metrics")
@@ -128,34 +129,25 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
     os.register_at_fork(after_in_child=_reset_in_forked_child)
 
 
+def _sync_tracing(context) -> None:
+    OBS.enabled = context.trace
+    _trace_module._ENABLED = context.trace
+
+
+_context.on_enter(_sync_tracing)
+
+
 def configure_tracing(enabled: bool = True) -> bool:
-    """Turn span tracing and metric collection on or off, process-wide.
-
-    Returns the previous state.  The runner mirrors this flag through
-    worker payloads (like the quotient toggle), so pool
-    workers always match the parent.  Off is the default; the
-    ``REPRO_TRACE`` environment variable (any non-empty value except
-    ``0``) enables it at import time.
-    """
-    previous = OBS.enabled
-    OBS.enabled = bool(enabled)
-    _trace_module._ENABLED = OBS.enabled
-    return previous
-
-
-def tracing_enabled() -> bool:
-    """Whether tracing/metrics collection is currently on."""
-    return OBS.enabled
+    """Turn tracing on or off in the active context; returns the previous
+    state.  (``REPRO_TRACE`` sets the initial value; see RUNNER.md,
+    "Execution context".)"""
+    return _context.update(trace=bool(enabled)).trace
 
 
 def reset_telemetry() -> None:
     """Drop all collected spans and metrics (tests, fresh profiles)."""
     OBS.tracer.reset()
     OBS.metrics.reset()
-
-
-if os.environ.get("REPRO_TRACE", "0") not in ("", "0"):
-    configure_tracing(True)
 
 
 __all__ = [
@@ -172,7 +164,6 @@ __all__ = [
     "bin_edges",
     "bin_index",
     "build_profile",
-    "configure_heartbeat",
     "configure_tracing",
     "drain_telemetry",
     "histogram_percentiles",
@@ -184,5 +175,4 @@ __all__ = [
     "span_aggregates",
     "telemetry_rows",
     "trace",
-    "tracing_enabled",
 ]

@@ -41,8 +41,9 @@ no-op against the end-of-run fold), and nothing here writes into
 off.
 
 Like every ``repro.obs`` module this one imports nothing from the rest
-of ``repro`` at module level (the :class:`~repro.results.log.AppendLog`
-import is deferred), so any tier can use it without cycles.
+of ``repro`` at module level but :mod:`repro.context` (the
+:class:`~repro.results.log.AppendLog` import is deferred), so any tier
+can use it without cycles.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from .. import context as _context
 from . import resources
 from .clock import now as _wall_now
 
@@ -230,40 +232,43 @@ class _LiveFacade:
 LIVE = _LiveFacade()
 
 
-def configure_heartbeat(payload: "dict | None") -> None:
-    """Install (or uninstall) the heartbeat emitter from a job payload.
+#: The last emitter built in this process; kept while a context without
+#: heartbeats is active so re-entering the same directory reuses it.
+_LAST_EMITTER: "HeartbeatEmitter | None" = None
 
-    ``payload`` is the sweep's ``"live"`` context field:
-    ``{"dir": <heartbeat directory>, "interval": seconds}``.  Workers
-    apply it unconditionally per payload (like every other context
-    field), so a live sweep's emitter never bleeds into the next
-    sweep's jobs.  An emitter already pointed at the same directory is
-    kept -- its seq/job counters must span the whole sweep, not one
-    payload.
+
+def _sync_heartbeat(context) -> None:
+    """Point ``LIVE.emitter`` at the context's heartbeat directory.
+
+    A worker leaves each payload's context between jobs; an emitter
+    already pointed at the same directory is reused, so its seq/job
+    counters span the whole sweep, not one payload.
     """
-    if not payload:
-        LIVE.emitter = None
-        return
-    directory = str(payload.get("dir", ""))
+    global _LAST_EMITTER
+    directory = context.heartbeat_dir
     if not directory:
         LIVE.emitter = None
         return
-    emitter = LIVE.emitter
+    emitter = _LAST_EMITTER
     if (
-        emitter is not None
-        and emitter.directory == directory
-        and emitter.pid == os.getpid()
+        emitter is None
+        or emitter.directory != directory
+        or emitter.pid != os.getpid()
     ):
-        emitter.interval = float(payload.get("interval", emitter.interval))
-        return
-    LIVE.emitter = HeartbeatEmitter(
-        directory, interval=float(payload.get("interval", 1.0))
-    )
+        emitter = _LAST_EMITTER = HeartbeatEmitter(
+            directory, interval=context.heartbeat_interval
+        )
+    emitter.interval = context.heartbeat_interval
+    LIVE.emitter = emitter
+
+
+_context.on_enter(_sync_heartbeat)
 
 
 def _drop_emitter_in_forked_child() -> None:
     """A forked child must not inherit the parent's emitter identity."""
-    LIVE.emitter = None
+    global _LAST_EMITTER
+    LIVE.emitter = _LAST_EMITTER = None
 
 
 if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
@@ -683,7 +688,6 @@ __all__ = [
     "PROGRESS_NAME",
     "SweepMonitor",
     "append_progress",
-    "configure_heartbeat",
     "format_progress_event",
     "monitored_map",
     "read_heartbeats",

@@ -31,9 +31,9 @@ from typing import Callable
 #: their root and are not counted separately).
 DEFAULT_RING_CAPACITY = 1024
 
-#: Module-global enabled flag; flipped only by
-#: :func:`repro.obs.configure_tracing` so the facade's ``OBS.enabled``
-#: attribute and this flag can never disagree.
+#: Module-global enabled flag; synced with the facade's ``OBS.enabled``
+#: whenever a context is entered (:mod:`repro.context`), so the two can
+#: never disagree.
 _ENABLED = False
 
 

@@ -24,9 +24,9 @@ hits match cold ones byte for byte.
 
 Persistence is an :class:`~repro.results.log.AppendLog` (``memo.log`` +
 compacted ``memo.json``), safe under any number of concurrent sweep
-workers.  The process-wide instance is installed with
-:func:`configure_query_memo` -- the runner wires it through worker
-payloads exactly like the chain disk cache -- and consulted by
+workers.  The active context's ``results_memo`` field names the memo
+directory (:mod:`repro.context`; the runner ships it in worker payloads
+exactly like the chain disk cache); :func:`query_memo` serves it to
 :func:`repro.chain.run_queries` / :func:`repro.chain.run_group_queries`
 before any evolution pass.
 """
@@ -39,6 +39,7 @@ import os
 import pathlib
 from fractions import Fraction
 
+from .. import context as _context
 from ..obs import OBS
 from .log import AppendLog
 
@@ -224,41 +225,39 @@ class QueryMemo:
 
 
 # ----------------------------------------------------------------------
-# The process-wide memo (wired through sweep worker payloads)
+# The memo of the active context
 # ----------------------------------------------------------------------
+#: The last memo loaded in this process and the directory it names; it
+#: is kept while contexts without a memo are active.
 _MEMO: "QueryMemo | None" = None
+_MEMO_DIR: "str | None" = None
 
 
-def configure_query_memo(
-    root: "str | os.PathLike[str] | None",
-) -> "QueryMemo | None":
-    """Install (or, with ``None``, remove) the process-wide query memo.
-
-    Re-configuring the same directory keeps the loaded instance and
-    merely refreshes it from the shared log, so per-job payload
-    application in pool workers costs one ``stat`` -- not a reload.
-    """
-    global _MEMO
-    if root is None:
-        _MEMO = None
-        return None
-    root = pathlib.Path(root)
-    if _MEMO is not None and _MEMO.root == root:
+def _refresh_memo(context) -> None:
+    """Entering a context that names the loaded memo's directory
+    refreshes it from the shared log: one ``stat`` per worker payload,
+    not a reload."""
+    if _MEMO is not None and context.results_memo == _MEMO_DIR:
         _MEMO.refresh()
-        return _MEMO
-    _MEMO = QueryMemo(root)
-    return _MEMO
+
+
+_context.on_enter(_refresh_memo)
 
 
 def query_memo() -> "QueryMemo | None":
-    """The currently configured memo, if any."""
+    """The memo of the active context's ``results_memo`` directory, if any."""
+    global _MEMO, _MEMO_DIR
+    root = _context.current().results_memo
+    if root is None:
+        return None
+    if root != _MEMO_DIR:
+        _MEMO, _MEMO_DIR = QueryMemo(root), root
     return _MEMO
 
 
 __all__ = [
     "MISS",
     "QueryMemo",
-    "configure_query_memo",
     "decode_value",
     "encode_value",
     "query_memo",

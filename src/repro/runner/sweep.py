@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from ..context import current
 from ..obs import OBS, merge_telemetry, trace
 from .engines import ExecutionEngine, SerialEngine
 from .persistence import RunDirectory
@@ -135,18 +136,7 @@ def _group_job_payloads(jobs, payloads, engine):
         current_weight += weight
     if current:
         groups.append(current)
-    context_keys = ("chain_cache", "quotient", "results_memo", "obs", "live")
-    return [
-        {
-            "jobs": group,
-            **{
-                key: group[0][key]
-                for key in context_keys
-                if key in group[0]
-            },
-        }
-        for group in groups
-    ]
+    return [{"jobs": group} for group in groups]
 
 
 def _publish_shared_chains(jobs, payloads, directory):
@@ -165,18 +155,18 @@ def _publish_shared_chains(jobs, payloads, directory):
     cache exactly as before (and publish warm on the next resume).
     Random-port and sampling jobs are always left to the workers (their
     chains are one-shot / unneeded).  Returns the live
-    :class:`~repro.chain.shm.SharedChainStore` (the caller closes it
-    once the engine has drained) or ``None`` when there is nothing to
-    share or shared memory is unavailable on this platform.
+    :class:`~repro.chain.shm.SharedChainStore` (the caller ships its
+    manifest in the payload context and closes it once the engine has
+    drained) or ``None`` when there is nothing to share or shared memory
+    is unavailable on this platform.
 
     Chains are keyed by their *effective* key -- structural key plus
     the quotient tag the active quotient mode resolves to -- so workers
     compiling under the same mode attach exactly what was published.
     """
     from ..chain import (
+        ChainDiskCache,
         compile_chain,
-        configure_disk_cache,
-        disk_cache,
         effective_chain_key,
         memoized_chain,
     )
@@ -195,10 +185,12 @@ def _publish_shared_chains(jobs, payloads, directory):
             shareable.append(spec)
     if not shareable:
         return None
-    if directory is not None:
-        # Warm loads: the parent reads the run directory's disk cache so
-        # resumed sweeps publish without recompiling anything.
-        configure_disk_cache(str(directory.path / "chains"))
+    # Warm loads: the parent reads the run directory's disk cache so
+    # resumed sweeps publish without recompiling anything.
+    warm = (
+        None if directory is None
+        else ChainDiskCache(directory.path / "chains")
+    )
     store = SharedChainStore()
     try:
         chains = []
@@ -207,9 +199,8 @@ def _publish_shared_chains(jobs, payloads, directory):
             ports = make_ports(spec.ports, spec.sizes, 0)
             key = effective_chain_key(alpha, ports)
             chain = memoized_chain(key)
-            if chain is None and directory is not None:
-                warm = disk_cache()
-                chain = warm.load(key) if warm is not None else None
+            if chain is None and warm is not None:
+                chain = warm.load(key)
             if chain is None:
                 if directory is not None:
                     continue  # cold + disk-cached sweep: workers share it
@@ -225,9 +216,6 @@ def _publish_shared_chains(jobs, payloads, directory):
     if not len(store):
         store.close()
         return None
-    manifest = store.manifest
-    for payload in payloads:
-        payload["chain_shm"] = manifest
     return store
 
 
@@ -380,20 +368,20 @@ def run_sweep(
     if warehouse is None and run_dir is not None:
         warehouse = pathlib.Path(run_dir) / "warehouse"
     store = None
+    # The workers' execution context is the caller's plus these
+    # sweep-specific caches and side channels.
+    changes: dict = {}
     if warehouse:
         from ..results.store import ResultsStore
 
         store = ResultsStore(warehouse)
-        for payload in payloads:
-            payload["results_memo"] = str(store.memo_dir)
+        changes["results_memo"] = str(store.memo_dir)
     if run_dir is not None:
         directory = RunDirectory(run_dir)
         # Persist compiled chains next to the records: every worker (and
         # every resumed run) then compiles each (alpha, ports) chain at
         # most once, sweep-wide.
-        chain_cache = str(directory.path / "chains")
-        for payload in payloads:
-            payload["chain_cache"] = chain_cache
+        changes["chain_cache"] = str(directory.path / "chains")
         directory.write_manifest(
             {
                 "sweep": sweep.to_dict(),
@@ -432,9 +420,6 @@ def run_sweep(
         payloads = [
             p for p in payloads if jobs[p["index"]].job_key not in done
         ]
-    from .worker import chain_context_payload
-
-    context = chain_context_payload()
     monitor = None
     if live and directory is not None:
         from ..obs.live import LiveConfig, SweepMonitor
@@ -442,16 +427,10 @@ def run_sweep(
         config = LiveConfig.from_payload(
             live if isinstance(live, (dict, LiveConfig)) else None
         )
-        context = {
-            **context,
-            # The heartbeat side channel is sweep-specific context,
-            # like chain_cache: workers append to their own log under
-            # the run directory, far from the record return path.
-            "live": {
-                "dir": str(directory.heartbeat_dir),
-                "interval": config.interval,
-            },
-        }
+        # Workers append heartbeats to their own log under the run
+        # directory, far from the record return path.
+        changes["heartbeat_dir"] = str(directory.heartbeat_dir)
+        changes["heartbeat_interval"] = config.interval
         monitor = SweepMonitor(
             directory.path,
             total=len(jobs),
@@ -459,10 +438,7 @@ def run_sweep(
             engine=engine,
             resumed=len(prior),
         )
-    for payload in payloads:
-        # Propagate the parent's chain context (e.g. the CLI
-        # --quotient mode) into pool workers.
-        payload.update(context)
+    context = replace(current(), **changes)
     # The shape-grouping dispatcher: hand each worker one group payload
     # (one shared-memory attach) per slice of the grid instead of one
     # payload per grid point.
@@ -477,6 +453,10 @@ def run_sweep(
         if dispatch and getattr(engine, "supports_shared_chains", False):
             with trace("sweep.publish"):
                 shm_store = _publish_shared_chains(jobs, dispatch, directory)
+            if shm_store is not None:
+                context = replace(context, chain_shm=shm_store.manifest)
+        for payload in dispatch:
+            payload["context"] = context
         if monitor is not None:
             monitor.start()
             from ..obs.live import monitored_map
@@ -515,35 +495,13 @@ def run_sweep(
     finally:
         if monitor is not None:
             # Flush the final progress event (``event: "end"``) and stop
-            # the monitor thread, then detach any in-process heartbeat
-            # emitter a serial engine installed -- same detach contract
-            # as the disk cache below.
+            # the monitor thread.
             monitor.stop()
-            from ..obs.live import configure_heartbeat
-
-            configure_heartbeat(None)
         if shm_store is not None:
             # Unlinking is safe while workers still hold mappings; only
             # the names disappear, live views stay valid until exit.
             shm_store.close()
-        if directory is not None:
-            # Serial engines execute jobs in THIS process, installing the
-            # sweep's disk cache process-wide -- and publishing shared
-            # chains configures it in the parent too (only ever with a
-            # run directory); detach it so later work does not keep
-            # writing into a finished run directory.  Without a run dir
-            # nothing here touched the cache, so a caller-installed one
-            # stays installed.  (Pool workers detach at their next
-            # cache-less payload.)
-            from ..chain import configure_disk_cache
-
-            configure_disk_cache(None)
         if store is not None:
-            # Same deal for the query memo a serial engine installed
-            # in-process.
-            from ..results.memo import configure_query_memo
-
-            configure_query_memo(None)
             # Land what this invocation produced: the fresh job records
             # (watermarked -- only the new JSONL bytes are read) and the
             # grouped-dispatch diagnostics.

@@ -7,6 +7,12 @@ payload carries the sweep's master seed; the job's private seed is
 re-derived *inside* the worker from ``(master_seed, job_key)``, so the
 result cannot depend on which worker ran the job or in what order.
 
+Every payload also carries the producer's execution context under
+``"context"`` (:class:`repro.context.Context`: quotient mode, tracing,
+chain cache, shm manifest, results memo, heartbeats); each entry point
+runs under ``with use(payload["context"])``, so a worker computes
+exactly as its parent would and no job's context outlives the job.
+
 Imports of :mod:`repro.analysis` stay inside function bodies: the
 analysis package grows runner-backed parallel paths of its own, and
 module-level imports in either direction would be circular.
@@ -14,27 +20,19 @@ module-level imports in either direction would be circular.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from ..chain import (
     CompiledChain,
     Query,
     compile_chain,
-    configure_disk_cache,
-    configure_shared_chains,
     run_group_queries,
     run_queries,
 )
+from ..context import use
 from ..core.tasks import SymmetryBreakingTask
-from ..obs import (
-    LIVE,
-    OBS,
-    configure_heartbeat,
-    configure_tracing,
-    drain_telemetry,
-    trace,
-    tracing_enabled,
-)
+from ..obs import LIVE, OBS, drain_telemetry, trace
 from ..randomness.configuration import RandomnessConfiguration
 from ..sampling import sample_cell, sample_range
 from .spec import RunSpec, derive_seed, make_ports, make_task
@@ -50,24 +48,6 @@ def exact_limit_value(
     one place.
     """
     return run_queries(chain, [Query.limit(task)])[0]
-
-
-def chain_context_payload() -> dict:
-    """The parent-side chain-context fields every pool payload carries.
-
-    One choke point for the fields :func:`_apply_chain_context` mirrors
-    in the worker (currently the quotient-compilation mode and the
-    tracing switch; ``chain_cache`` / ``chain_shm`` / ``live`` are
-    sweep-specific and attached by ``run_sweep``).  A payload producer
-    that merges this dict can never silently reset a worker to defaults
-    the parent has overridden.
-    """
-    from ..chain import quotient_mode
-
-    return {
-        "quotient": quotient_mode(),
-        "obs": tracing_enabled(),
-    }
 
 
 #: Structural chain digests by deterministic job family: the digest is
@@ -112,33 +92,15 @@ def _memoized_exact_limit(spec: RunSpec, alpha, ports) -> "Fraction | None":
     return None if hit is MISS else hit
 
 
-def _apply_chain_context(payload: dict) -> None:
-    """Install the payload's chain context -- or uninstall it.
+def _in_payload_context(execute):
+    """Run a worker entry point under its payload's ``"context"``."""
 
-    Workers are separate processes: the process-wide compile memo does
-    not cross the pool boundary, but a run-directory disk cache does --
-    and a shared-memory manifest (``chain_shm``) lets the worker attach
-    chains the parent already compiled without even touching disk.  A
-    ``results_memo`` directory (the warehouse's cross-run query memo)
-    lets the worker skip whole cells another run already answered.
-    Everything is configured *unconditionally*: a payload without a
-    cache/manifest/memo detaches whatever a previous job in this
-    (reused pool or in-process serial) worker installed, so one sweep's
-    context never bleeds into the next job's compilations.
-    """
-    from ..chain import configure_quotient
-    from ..results.memo import configure_query_memo
+    @functools.wraps(execute)
+    def run(payload: dict) -> dict:
+        with use(payload["context"]):
+            return execute(payload)
 
-    configure_disk_cache(payload.get("chain_cache"))
-    configure_shared_chains(payload.get("chain_shm"))
-    configure_quotient(payload.get("quotient", "off"))
-    configure_query_memo(payload.get("results_memo"))
-    configure_tracing(payload.get("obs", False))
-    # The live-sweep heartbeat side channel (repro.obs.live): installed
-    # per payload like everything above, so a live sweep's emitter never
-    # outlives its payloads.  Heartbeats go to their own append logs,
-    # never near the record return path.
-    configure_heartbeat(payload.get("live"))
+    return run
 
 
 def _exact_value(limit: Fraction) -> dict:
@@ -165,15 +127,15 @@ def _job_record(payload: dict, spec: RunSpec, seed: int, alpha,
     }
 
 
+@_in_payload_context
 def execute_run(payload: dict) -> dict:
     """Execute one :class:`~repro.runner.spec.RunSpec` job.
 
     ``payload`` is ``{"spec": <RunSpec dict>, "master_seed": int,
-    "index": int}`` plus an optional ``"chain_cache"`` directory; the
-    result record echoes the spec, its key and index (aggregation
-    order), the derived seed, and the job's value fields.
+    "index": int, "context": Context}``; the result record echoes the
+    spec, its key and index (aggregation order), the derived seed, and
+    the job's value fields.
     """
-    _apply_chain_context(payload)
     spec = RunSpec.from_dict(payload["spec"])
     master_seed = int(payload.get("master_seed", 0))
     seed = derive_seed(master_seed, spec.job_key)
@@ -234,11 +196,12 @@ def execute_run(payload: dict) -> dict:
     return record
 
 
+@_in_payload_context
 def execute_run_group(payload: dict) -> dict:
     """Execute a whole group of exact jobs in one worker call.
 
-    ``payload`` is ``{"jobs": [<execute_run payloads>...]}`` plus the
-    usual chain-context fields (applied once for the whole group).  The
+    ``payload`` is ``{"jobs": [<execute_run payloads>...]}`` plus one
+    ``"context"`` for the whole group.  The
     sweep dispatcher packs contiguous chain families into these groups
     so a worker pays one payload round trip and one shared-memory attach
     pass for a whole slice of the grid instead of one of each per grid
@@ -259,7 +222,6 @@ def execute_run_group(payload: dict) -> dict:
     """
     from ..chain import evolution_strategy, transition_density
 
-    _apply_chain_context(payload)
     if LIVE.emitter is not None:
         LIVE.emitter.job_started("group:prepare", count=len(payload["jobs"]))
     with trace("runner.group", jobs=len(payload["jobs"])) as timer:
@@ -337,10 +299,12 @@ def execute_run_group(payload: dict) -> dict:
     return result
 
 
+@_in_payload_context
 def execute_experiment(payload: dict) -> dict:
     """Run one registered experiment generator by registry index.
 
-    ``payload`` is ``{"index": int}`` into ``ALL_EXPERIMENTS``; the record
+    ``payload`` is ``{"index": int}`` into ``ALL_EXPERIMENTS`` plus the
+    ``"context"``; the record
     carries the :class:`~repro.analysis.result.ExperimentResult` *object*
     (pickled across the pool boundary), so row cells keep their native
     types -- ``run_all_experiments`` returns identical results whatever
@@ -348,7 +312,6 @@ def execute_experiment(payload: dict) -> dict:
     """
     from ..analysis import ALL_EXPERIMENTS
 
-    _apply_chain_context(payload)
     index = int(payload["index"])
     with trace("runner.experiment", index=index) as timer:
         result = ALL_EXPERIMENTS[index]()
@@ -366,6 +329,7 @@ def execute_experiment(payload: dict) -> dict:
     return record
 
 
+@_in_payload_context
 def execute_sample_batch(payload: dict) -> dict:
     """Monte-Carlo-sample one substream range for the parallel estimator.
 
@@ -376,7 +340,6 @@ def execute_sample_batch(payload: dict) -> dict:
     law), so any partition of the budget across any engine reassembles
     the same estimate.
     """
-    _apply_chain_context(payload)
     start = int(payload["start"])
     stop = int(payload["stop"])
     estimate = sample_range(
@@ -394,11 +357,12 @@ def execute_sample_batch(payload: dict) -> dict:
     }
 
 
+@_in_payload_context
 def execute_port_chunk(payload: dict) -> dict:
     """Evaluate a chunk of port-orbit representatives in a pool worker.
 
-    ``payload`` is ``{"sizes": [...], "tables": [...]}`` plus the chain
-    context, where each table is one orbit representative (orbit
+    ``payload`` is ``{"sizes": [...], "tables": [...]}`` plus the
+    ``"context"``, where each table is one orbit representative (orbit
     representatives, weighted: the parent holds the weights and folds).
     The record carries one ``(limit, symmetric)`` row per representative,
     limits as exact fraction strings -- the same rows
@@ -407,7 +371,6 @@ def execute_port_chunk(payload: dict) -> dict:
     """
     from ..analysis.worst_case_search import representative_rows
 
-    _apply_chain_context(payload)
     return {
         "rows": representative_rows(
             tuple(payload["sizes"]), payload["tables"]
@@ -416,7 +379,6 @@ def execute_port_chunk(payload: dict) -> dict:
 
 
 __all__ = [
-    "chain_context_payload",
     "exact_limit_value",
     "execute_experiment",
     "execute_port_chunk",

@@ -13,26 +13,25 @@ from repro.chain import (
     chain_key,
     clear_memo,
     compile_chain,
-    configure_disk_cache,
     disk_cache,
     run_queries,
 )
 from repro.chain.cache import FILE_MAGIC
+from repro.context import Context, use
 from repro.core import leader_election
 from repro.models import adversarial_assignment, round_robin_assignment
-from repro.obs import OBS, configure_tracing, reset_telemetry
+from repro.obs import OBS, reset_telemetry
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
 from repro.runner import SerialEngine, SweepSpec, run_sweep
 
 
 @pytest.fixture
 def cache_dir(tmp_path):
-    """A configured cache that is always detached again afterwards."""
+    """A cache directory in the active context for the test's duration."""
     root = tmp_path / "chains"
-    configure_disk_cache(root)
     clear_memo()
-    yield root
-    configure_disk_cache(None)
+    with use(chain_cache=str(root)):
+        yield root
     clear_memo()
 
 
@@ -95,14 +94,14 @@ class TestLRUEviction:
         """Compile one chain per shape through a capless cache."""
         import time
 
-        configure_disk_cache(root)
-        for shape in shapes:
-            clear_memo()
-            compile_chain(RandomnessConfiguration.from_group_sizes(shape))
-            # mtimes are the LRU clock; space the stores out so eviction
-            # order is deterministic even on coarse filesystems.
-            time.sleep(0.01)
-        configure_disk_cache(None)
+        with use(chain_cache=str(root)):
+            for shape in shapes:
+                clear_memo()
+                compile_chain(RandomnessConfiguration.from_group_sizes(shape))
+                # mtimes are the LRU clock; space the stores out so
+                # eviction order is deterministic even on coarse
+                # filesystems.
+                time.sleep(0.01)
         clear_memo()
 
     def test_entries_are_listed_lru_first(self, tmp_path):
@@ -126,13 +125,11 @@ class TestLRUEviction:
 
     def test_max_bytes_cap_applies_on_store(self, tmp_path):
         root = tmp_path / "chains"
-        configure_disk_cache(root, max_bytes=1)  # nothing fits
-        clear_memo()
-        compile_chain(RandomnessConfiguration.from_group_sizes((1, 2)))
-        compile_chain(RandomnessConfiguration.from_group_sizes((2, 2)))
+        cache = ChainDiskCache(root, max_bytes=1)  # nothing fits
+        for shape in [(1, 2), (2, 2)]:
+            alpha = RandomnessConfiguration.from_group_sizes(shape)
+            cache.store(compile_chain(alpha, use_memo=False))
         assert ChainDiskCache(root).entries() == []
-        configure_disk_cache(None)
-        clear_memo()
 
     def test_load_refreshes_recency(self, tmp_path):
         import time
@@ -196,11 +193,10 @@ class TestLoadStats:
         return chain_key(RandomnessConfiguration.from_group_sizes(shape))
 
     def _fill(self, root, shapes):
-        configure_disk_cache(root)
-        for shape in shapes:
-            clear_memo()
-            compile_chain(RandomnessConfiguration.from_group_sizes(shape))
-        configure_disk_cache(None)
+        with use(chain_cache=str(root)):
+            for shape in shapes:
+                clear_memo()
+                compile_chain(RandomnessConfiguration.from_group_sizes(shape))
         clear_memo()
 
     def test_loads_are_counted_in_the_sidecar(self, tmp_path):
@@ -271,7 +267,6 @@ class TestLoadStats:
 
 class TestRunnerPlumbing:
     def test_sweep_with_run_dir_persists_chains(self, tmp_path):
-        configure_disk_cache(None)
         clear_memo()
         sweep = SweepSpec.for_total_size(3, models=("blackboard", "clique"))
         run_dir = tmp_path / "run"
@@ -283,28 +278,27 @@ class TestRunnerPlumbing:
         resumed = run_sweep(sweep, engine=SerialEngine(), run_dir=run_dir)
         assert resumed.executed == 0
         assert resumed.resumed == resumed.total
-        configure_disk_cache(None)
         clear_memo()
 
     def test_sweep_without_run_dir_leaves_cache_unconfigured(self):
-        configure_disk_cache(None)
         sweep = SweepSpec.for_total_size(2, models=("blackboard",))
         run_sweep(sweep, engine=SerialEngine())
         assert disk_cache() is None
 
     def test_run_dir_sweep_detaches_its_cache_afterwards(self, tmp_path):
-        # A run-dir sweep on the serial engine installs its cache in
-        # THIS process; run_sweep must detach it on the way out so later
-        # work never writes into a finished run directory.
+        # A run-dir sweep on the serial engine runs its jobs in THIS
+        # process under the sweep's context; leaving it must restore the
+        # caller's, so later work never writes into a finished run
+        # directory.
         clear_memo()
         sweep = SweepSpec.for_total_size(2, models=("blackboard",))
         run_sweep(sweep, engine=SerialEngine(), run_dir=tmp_path / "run")
         assert disk_cache() is None
         clear_memo()
 
-    def test_cacheless_payload_detaches_a_previous_jobs_cache(self, tmp_path):
-        # Reused pool workers see payloads back to back; one without a
-        # chain_cache must detach whatever the previous job installed.
+    def test_a_payloads_cache_does_not_outlive_its_job(self, tmp_path):
+        # Reused pool workers see payloads back to back; a job's
+        # chain_cache must be gone once the job returns.
         from repro.runner.worker import execute_run
 
         clear_memo()
@@ -315,10 +309,9 @@ class TestRunnerPlumbing:
         }
         execute_run({
             "spec": spec, "master_seed": 0, "index": 0,
-            "chain_cache": str(tmp_path / "chains"),
+            "context": Context(chain_cache=str(tmp_path / "chains")),
         })
-        assert disk_cache() is not None
-        execute_run({"spec": spec, "master_seed": 0, "index": 0})
+        assert list((tmp_path / "chains").glob("*.chain.pkl"))
         assert disk_cache() is None
         clear_memo()
 
@@ -328,13 +321,13 @@ class TestRunnerPlumbing:
         import shutil
 
         clear_memo()
-        store = configure_disk_cache(tmp_path / "gone")
-        shutil.rmtree(tmp_path / "gone")
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
-        chain = compile_chain(alpha)  # recreates the directory, no crash
-        assert chain.num_states >= 1
-        assert store.load(chain.key) is not None
-        configure_disk_cache(None)
+        with use(chain_cache=str(tmp_path / "gone")):
+            store = disk_cache()
+            shutil.rmtree(tmp_path / "gone")
+            alpha = RandomnessConfiguration.from_group_sizes((1, 2))
+            chain = compile_chain(alpha)  # recreates the directory
+            assert chain.num_states >= 1
+            assert store.load(chain.key) is not None
         clear_memo()
 
 
@@ -408,10 +401,9 @@ class TestFailClosed:
 
     @pytest.fixture
     def traced(self):
-        configure_tracing(True)
         reset_telemetry()
-        yield OBS.metrics
-        configure_tracing(False)
+        with use(trace=True):
+            yield OBS.metrics
         reset_telemetry()
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))

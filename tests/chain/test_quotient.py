@@ -24,15 +24,10 @@ from repro.chain import (
 from repro.chain.cache import key_digest
 from repro.chain.interning import canonical_labels
 from repro.chain.quotient import OrbitIndex, QuotientChain, base_key
+from repro.context import use
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
 from repro.runner import SweepSpec
 from repro.runner import spec as runner_spec
-
-
-@pytest.fixture(autouse=True)
-def _library_defaults():
-    yield
-    configure_quotient("off")
 
 
 def _registry(n_max=5):
@@ -291,11 +286,11 @@ class TestModesAndKeys:
         assert resolve_quotient(symmetric, "auto")
         assert not resolve_quotient(trivial, "auto")
         assert resolve_quotient(trivial, "on")
-        configure_quotient("auto")
-        assert resolve_quotient(symmetric)
-        assert not resolve_quotient(trivial)
-        with pytest.raises(ValueError):
-            resolve_quotient(symmetric, "maybe")
+        with use(quotient="auto"):
+            assert resolve_quotient(symmetric)
+            assert not resolve_quotient(trivial)
+            with pytest.raises(ValueError):
+                resolve_quotient(symmetric, "maybe")
 
     def test_quotient_keys_get_their_own_digest(self):
         key = chain_key(RandomnessConfiguration.from_group_sizes((2, 3)))
@@ -307,12 +302,12 @@ class TestModesAndKeys:
 
     def test_effective_chain_key_matches_compile_chain(self):
         alpha = RandomnessConfiguration.from_group_sizes((1, 1, 2))
-        configure_quotient("auto")
-        key = effective_chain_key(alpha)
-        assert is_quotient_key(key)
-        assert compile_chain(alpha, use_memo=False).key == key
-        configure_quotient("off")
-        assert effective_chain_key(alpha) == base_key(key)
+        with use(quotient="auto"):
+            key = effective_chain_key(alpha)
+            assert is_quotient_key(key)
+            assert compile_chain(alpha, use_memo=False).key == key
+            with use(quotient="off"):
+                assert effective_chain_key(alpha) == base_key(key)
 
     def test_memo_separates_the_two_compilations(self):
         alpha = RandomnessConfiguration.from_group_sizes((1, 1, 1))

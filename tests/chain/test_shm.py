@@ -9,15 +9,14 @@ from repro.chain import (
     chain_key,
     clear_memo,
     compile_chain,
-    configure_disk_cache,
-    configure_shared_chains,
     shared_chain,
 )
 from repro.chain import shm as shm_module
 from repro.chain.cache import ChainDiskCache, key_digest
 from repro.core import leader_election
 from repro.models import adversarial_assignment
-from repro.obs import OBS, configure_tracing, reset_telemetry
+from repro.context import use
+from repro.obs import OBS, reset_telemetry
 from repro.randomness import RandomnessConfiguration
 from repro.runner import (
     ProcessPoolEngine,
@@ -25,13 +24,6 @@ from repro.runner import (
     SweepSpec,
     run_sweep,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    yield
-    configure_shared_chains(None)
-    configure_disk_cache(None)
 
 
 def _chain(shape=(1, 2, 2), ports=None):
@@ -113,26 +105,26 @@ class TestGroupSegments:
             assert len(store) == len(chains)
             manifest = store.manifest
             assert all("@" in locator for locator in manifest.values())
-            configure_shared_chains(manifest)
-            task = leader_election(4)
-            for chain in chains:
-                got = shared_chain(chain.key)
-                assert got is not None and got.key == chain.key
-                assert got.labels == chain.labels
-                assert got.out_table() == chain.out_table()
-                assert got.limit_solving_probability(
-                    task
-                ) == chain.limit_solving_probability(task)
+            with use(chain_shm=manifest):
+                task = leader_election(4)
+                for chain in chains:
+                    got = shared_chain(chain.key)
+                    assert got is not None and got.key == chain.key
+                    assert got.labels == chain.labels
+                    assert got.out_table() == chain.out_table()
+                    assert got.limit_solving_probability(
+                        task
+                    ) == chain.limit_solving_probability(task)
 
     def test_one_segment_mapping_serves_the_whole_group(self):
         chains = self._chains()
         with SharedChainStore() as store:
             store.publish_group(chains)
-            configure_shared_chains(store.manifest)
-            segments = {
-                id(shared_chain(chain.key)._shm) for chain in chains
-            }
-            assert len(segments) == 1
+            with use(chain_shm=store.manifest):
+                segments = {
+                    id(shared_chain(chain.key)._shm) for chain in chains
+                }
+                assert len(segments) == 1
 
     def test_publish_group_skips_already_published_chains(self):
         chains = self._chains()
@@ -180,33 +172,32 @@ class TestWorkerLookup:
         alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
         with SharedChainStore() as store:
             store.publish(chain)
-            configure_shared_chains(store.manifest)
-            configure_disk_cache(tmp_path)
-            monkeypatch.setattr(
-                ChainDiskCache,
-                "load",
-                lambda self, key: pytest.fail(
-                    "worker consulted the disk cache despite a "
-                    "shared-memory hit"
-                ),
-            )
-            clear_memo()
-            got = compile_chain(alpha)
-            assert got.key == chain.key
-            assert hasattr(got, "_shm")
-            # Second compile hits the per-process memo, not a re-attach.
-            assert compile_chain(alpha) is got
+            with use(chain_shm=store.manifest, chain_cache=str(tmp_path)):
+                monkeypatch.setattr(
+                    ChainDiskCache,
+                    "load",
+                    lambda self, key: pytest.fail(
+                        "worker consulted the disk cache despite a "
+                        "shared-memory hit"
+                    ),
+                )
+                clear_memo()
+                got = compile_chain(alpha)
+                assert got.key == chain.key
+                assert hasattr(got, "_shm")
+                # Second compile hits the per-process memo, not a re-attach.
+                assert compile_chain(alpha) is got
 
     def test_missing_segment_degrades_to_a_miss(self):
         chain = _chain()
-        configure_shared_chains({key_digest(chain.key): "psm_gone_stale"})
-        assert shared_chain(chain.key) is None
+        with use(chain_shm={key_digest(chain.key): "psm_gone_stale"}):
+            assert shared_chain(chain.key) is None
 
     def test_unlisted_key_is_a_miss(self):
-        configure_shared_chains({})
-        assert shared_chain(chain_key(
-            RandomnessConfiguration.from_group_sizes((1, 2))
-        )) is None
+        with use(chain_shm={}):
+            assert shared_chain(chain_key(
+                RandomnessConfiguration.from_group_sizes((1, 2))
+            )) is None
 
     def test_digest_collision_is_rejected_by_full_key(self):
         chain = _chain()
@@ -214,8 +205,8 @@ class TestWorkerLookup:
         with SharedChainStore() as store:
             name = store.publish(other)
             # Lie: map chain's digest at the *other* chain's segment.
-            configure_shared_chains({key_digest(chain.key): name})
-            assert shared_chain(chain.key) is None
+            with use(chain_shm={key_digest(chain.key): name}):
+                assert shared_chain(chain.key) is None
 
 
 def _array_offsets(buf, offset=0):
@@ -246,10 +237,9 @@ class TestFailClosed:
 
     @pytest.fixture
     def traced(self):
-        configure_tracing(True)
         reset_telemetry()
-        yield OBS.metrics
-        configure_tracing(False)
+        with use(trace=True):
+            yield OBS.metrics
         reset_telemetry()
 
     @pytest.mark.parametrize("array", ["labels", "indptr", "dst", "cnt"])
@@ -257,47 +247,47 @@ class TestFailClosed:
         chain = _chain()
         with SharedChainStore() as store:
             name = store.publish(chain)
-            configure_shared_chains(store.manifest)
-            assert shared_chain(chain.key) is not None
-            assert traced.counter("chain.shm.load.miss") == 0
-            buf = store._segments[0].buf
-            _flip(buf, _array_offsets(buf)[array])
-            assert shared_chain(chain.key) is None
-            assert traced.counter("chain.shm.load.miss") == 1
-            with pytest.raises(ValueError):
-                attach_chain(name)
+            with use(chain_shm=store.manifest):
+                assert shared_chain(chain.key) is not None
+                assert traced.counter("chain.shm.load.miss") == 0
+                buf = store._segments[0].buf
+                _flip(buf, _array_offsets(buf)[array])
+                assert shared_chain(chain.key) is None
+                assert traced.counter("chain.shm.load.miss") == 1
+                with pytest.raises(ValueError):
+                    attach_chain(name)
 
     def test_damage_misses_only_the_damaged_group_member(self, traced):
         chains = TestGroupSegments()._chains()
         with SharedChainStore() as store:
             store.publish_group(chains)
-            configure_shared_chains(store.manifest)
-            victim = chains[3]
-            locator = store.manifest[key_digest(victim.key)]
-            buf = store._segments[0].buf
-            _flip(buf, _array_offsets(buf, _block_offset(locator))["cnt"])
-            for chain in chains:
-                got = shared_chain(chain.key)
-                if chain is victim:
-                    assert got is None
-                else:
-                    assert got.out_table() == chain.out_table()
-            assert traced.counter("chain.shm.load.miss") == 1
+            with use(chain_shm=store.manifest):
+                victim = chains[3]
+                locator = store.manifest[key_digest(victim.key)]
+                buf = store._segments[0].buf
+                _flip(buf, _array_offsets(buf, _block_offset(locator))["cnt"])
+                for chain in chains:
+                    got = shared_chain(chain.key)
+                    if chain is victim:
+                        assert got is None
+                    else:
+                        assert got.out_table() == chain.out_table()
+                assert traced.counter("chain.shm.load.miss") == 1
 
     def test_compile_chain_recompiles_past_a_damaged_segment(self, traced):
         chain = _chain()
         alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
         with SharedChainStore() as store:
             store.publish(chain)
-            configure_shared_chains(store.manifest)
-            buf = store._segments[0].buf
-            _flip(buf, _array_offsets(buf)["cnt"])
-            clear_memo()
-            got = compile_chain(alpha)
-            assert not hasattr(got, "_shm")
-            assert got.out_table() == chain.out_table()
-            assert traced.counter("chain.compile.hit.shm") == 0
-            assert traced.counter("chain.compile.miss") == 1
+            with use(chain_shm=store.manifest):
+                buf = store._segments[0].buf
+                _flip(buf, _array_offsets(buf)["cnt"])
+                clear_memo()
+                got = compile_chain(alpha)
+                assert not hasattr(got, "_shm")
+                assert got.out_table() == chain.out_table()
+                assert traced.counter("chain.compile.hit.shm") == 0
+                assert traced.counter("chain.compile.miss") == 1
 
     def test_pooled_sweep_over_a_damaged_store_matches_a_clean_run(
         self, traced, monkeypatch

@@ -1,16 +1,24 @@
-"""Keep process-global chain-engine state from leaking between tests."""
+"""Every test must leave the execution context as it found it."""
 
 import pytest
 
 
 @pytest.fixture(autouse=True)
-def _reset_quotient_mode():
-    """The CLI entry points set the process-wide quotient mode (their
-    default is "auto"); restore the library default afterwards so a test
-    that routes through ``repro.cli.main`` cannot change which chain a
-    later test's ``compile_chain`` returns."""
+def _context_is_restored():
+    """A test (or the code it drives) that leaves a different
+    :class:`repro.context.Context` active would change how every later
+    test computes; fail it instead of resetting after it."""
+    from repro.context import current
+
+    before = current()
     yield
-    from repro.chain import configure_quotient
+    assert current() == before, "the test leaked its execution context"
 
-    configure_quotient("off")
 
+@pytest.fixture
+def tracing():
+    """Run the test with tracing on; the previous context is restored."""
+    from repro.context import use
+
+    with use(trace=True):
+        yield

@@ -1,16 +1,14 @@
 """Shared hygiene for observability tests: every test starts and ends
-with tracing off and an empty tracer ring / metrics registry, so tests
-cannot leak telemetry into each other (or into the rest of the suite)."""
+with an empty tracer ring / metrics registry, so tests cannot leak
+telemetry into each other (or into the rest of the suite)."""
 
 import pytest
 
-from repro.obs import configure_tracing, reset_telemetry
+from repro.obs import reset_telemetry
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
-    configure_tracing(False)
     reset_telemetry()
     yield
-    configure_tracing(False)
     reset_telemetry()

@@ -7,13 +7,13 @@ import time
 import pytest
 
 from repro.chain import clear_memo
-from repro.obs import OBS, clock, configure_tracing
+from repro.context import use
+from repro.obs import OBS, clock
 from repro.obs.live import (
     LIVE,
     HeartbeatEmitter,
     LiveConfig,
     SweepMonitor,
-    configure_heartbeat,
     format_progress_event,
     monitored_map,
     read_heartbeats,
@@ -21,13 +21,6 @@ from repro.obs.live import (
     worker_status,
 )
 from repro.obs.schema import validate_progress
-
-
-@pytest.fixture(autouse=True)
-def clean_live():
-    configure_heartbeat(None)
-    yield
-    configure_heartbeat(None)
 
 
 class TestLiveConfig:
@@ -79,8 +72,7 @@ class TestHeartbeatEmitter:
         assert state["jobs_finished"] == 1
         assert state["phase"] == "idle"
 
-    def test_counter_deltas_fold_to_totals(self, tmp_path):
-        configure_tracing(True)
+    def test_counter_deltas_fold_to_totals(self, tmp_path, tracing):
         emitter = HeartbeatEmitter(tmp_path, interval=0.0)
         OBS.metrics.inc("live.test.counter", 3)
         emitter.beat()
@@ -89,10 +81,9 @@ class TestHeartbeatEmitter:
         state = read_heartbeats(tmp_path)[emitter.worker]
         assert state["counters"]["live.test.counter"] == 7
 
-    def test_counter_deltas_survive_a_drain_reset(self, tmp_path):
+    def test_counter_deltas_survive_a_drain_reset(self, tmp_path, tracing):
         from repro.obs import drain_telemetry
 
-        configure_tracing(True)
         emitter = HeartbeatEmitter(tmp_path, interval=0.0)
         OBS.metrics.inc("live.test.counter", 5)
         emitter.beat()
@@ -103,8 +94,9 @@ class TestHeartbeatEmitter:
         # 5 before the drain plus 2 after: the fold still sums exactly.
         assert state["counters"]["live.test.counter"] == 7
 
-    def test_deltas_never_touch_the_process_registry(self, tmp_path):
-        configure_tracing(True)
+    def test_deltas_never_touch_the_process_registry(
+        self, tmp_path, tracing
+    ):
         emitter = HeartbeatEmitter(tmp_path, interval=0.0)
         OBS.metrics.inc("live.test.counter", 3)
         before = OBS.metrics.snapshot()["counters"]
@@ -118,28 +110,30 @@ class TestHeartbeatEmitter:
         assert read_heartbeats(tmp_path)[emitter.worker]["counters"] == {}
 
 
-class TestConfigureHeartbeat:
+class TestHeartbeatContext:
     def test_install_update_and_uninstall(self, tmp_path):
-        configure_heartbeat({"dir": str(tmp_path), "interval": 2.0})
-        emitter = LIVE.emitter
-        assert emitter is not None
-        assert emitter.interval == 2.0
-        # Same directory: the emitter (and its counters) is kept.
-        configure_heartbeat({"dir": str(tmp_path), "interval": 0.5})
-        assert LIVE.emitter is emitter
-        assert emitter.interval == 0.5
+        with use(heartbeat_dir=str(tmp_path), heartbeat_interval=2.0):
+            emitter = LIVE.emitter
+            assert emitter is not None
+            assert emitter.interval == 2.0
+        assert LIVE.emitter is None
+        # Same directory: the emitter (and its counters) is kept, even
+        # across a context without heartbeats in between.
+        with use(heartbeat_dir=str(tmp_path), heartbeat_interval=0.5):
+            assert LIVE.emitter is emitter
+            assert emitter.interval == 0.5
         # A different sweep's directory rebuilds it.
         other = tmp_path / "other"
         other.mkdir()
-        configure_heartbeat({"dir": str(other)})
-        assert LIVE.emitter is not emitter
-        configure_heartbeat(None)
+        with use(heartbeat_dir=str(other)):
+            assert LIVE.emitter is not emitter
         assert LIVE.emitter is None
 
-    def test_payload_without_dir_uninstalls(self, tmp_path):
-        configure_heartbeat({"dir": str(tmp_path)})
-        configure_heartbeat({})
-        assert LIVE.emitter is None
+    def test_context_without_dir_uninstalls(self, tmp_path):
+        with use(heartbeat_dir=str(tmp_path)):
+            with use(heartbeat_dir=None):
+                assert LIVE.emitter is None
+            assert LIVE.emitter is not None
 
 
 class TestWorkerStatus:
@@ -283,8 +277,9 @@ class TestSweepMonitor:
         assert "resources" not in row
         assert validate_progress(event) == []
 
-    def test_worker_gauges_are_labeled_when_traced(self, tmp_path):
-        configure_tracing(True)
+    def test_worker_gauges_are_labeled_when_traced(
+        self, tmp_path, tracing
+    ):
         monitor = SweepMonitor(tmp_path, total=1)
         monitor.heartbeat_dir.mkdir()
         emitter = HeartbeatEmitter(monitor.heartbeat_dir, interval=0.0)
@@ -516,7 +511,7 @@ class TestRunSweepLiveIntegration:
         assert LIVE.emitter is None
 
     def test_engine_invariant_counters_unchanged_by_live(
-        self, tmp_path, sweep
+        self, tmp_path, sweep, tracing
     ):
         from repro.obs import reset_telemetry
         from repro.runner import run_sweep
@@ -531,13 +526,11 @@ class TestRunSweepLiveIntegration:
                 ),
             }
 
-        configure_tracing(True)
         clear_memo()
         run_sweep(sweep, run_dir=tmp_path / "off", warehouse=False)
         plain = invariant()
 
         reset_telemetry()
-        configure_tracing(True)
         clear_memo()
         run_sweep(
             sweep,

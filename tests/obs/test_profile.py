@@ -5,7 +5,6 @@ from repro.obs import (
     OBS,
     Span,
     build_profile,
-    configure_tracing,
     drain_telemetry,
     merge_telemetry,
     render_span_tree,
@@ -91,8 +90,7 @@ class TestTelemetryRows:
 
 
 class TestDrainMerge:
-    def test_round_trip_preserves_totals(self):
-        configure_tracing(True)
+    def test_round_trip_preserves_totals(self, tracing):
         OBS.metrics.inc("jobs", 5)
         with trace("phase"):
             pass
@@ -104,8 +102,7 @@ class TestDrainMerge:
         assert OBS.metrics.snapshot() == before
         assert [s.name for s in TRACER.finished()] == ["phase"]
 
-    def test_merged_spans_nest_under_open_span(self):
-        configure_tracing(True)
+    def test_merged_spans_nest_under_open_span(self, tracing):
         with trace("worker"):
             pass
         payload = drain_telemetry()
@@ -123,8 +120,7 @@ class TestDrainMerge:
 
 
 class TestProfileSchema:
-    def test_live_profile_validates(self):
-        configure_tracing(True)
+    def test_live_profile_validates(self, tracing):
         OBS.metrics.inc("chain.compile.miss")
         OBS.metrics.observe("chain.compile.states", 12.0)
         with trace("repro.sweep", jobs=4):

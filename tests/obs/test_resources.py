@@ -1,6 +1,6 @@
 """Resource gauges: the stdlib-only RSS/CPU/GC sampler."""
 
-from repro.obs import OBS, configure_tracing
+from repro.obs import OBS
 from repro.obs.resources import publish_gauges, sample
 
 
@@ -34,16 +34,14 @@ class TestSample:
 
 
 class TestPublishGauges:
-    def test_publishes_process_gauges(self):
-        configure_tracing(True)
+    def test_publishes_process_gauges(self, tracing):
         reading = publish_gauges(OBS.metrics)
         assert OBS.metrics.gauge_value("process.rss_peak") == float(
             reading["rss_peak"]
         )
         assert OBS.metrics.gauge_value("process.cpu_seconds") > 0.0
 
-    def test_source_label_keeps_workers_apart(self):
-        configure_tracing(True)
+    def test_source_label_keeps_workers_apart(self, tracing):
         publish_gauges(OBS.metrics, source="worker-1")
         publish_gauges(OBS.metrics, source="worker-2")
         labeled = OBS.metrics.labeled_gauges("process.rss_peak")

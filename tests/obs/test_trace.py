@@ -30,8 +30,7 @@ class TestDisabledMode:
 
 
 class TestNesting:
-    def test_children_nest_under_open_parents(self):
-        configure_tracing(True)
+    def test_children_nest_under_open_parents(self, tracing):
         with trace("parent", label="x"):
             with trace("child"):
                 with trace("grandchild"):
@@ -49,17 +48,14 @@ class TestNesting:
             "grandchild"
         ]
 
-    def test_durations_cover_children(self):
-        configure_tracing(True)
+    def test_durations_cover_children(self, tracing):
         with trace("parent"):
             with trace("child"):
                 pass
         parent = TRACER.finished()[0]
         assert parent.duration >= parent.children[0].duration >= 0.0
 
-    def test_reentrant_decorator(self):
-        configure_tracing(True)
-
+    def test_reentrant_decorator(self, tracing):
         @trace("fib")
         def fib(n):
             return n if n < 2 else fib(n - 1) + fib(n - 2)
@@ -73,10 +69,9 @@ class TestNesting:
 
         assert count(roots[0]) == 9  # fib(4) makes 9 calls total
 
-    def test_finished_sees_completed_children_of_open_spans(self):
+    def test_finished_sees_completed_children_of_open_spans(self, tracing):
         # A mid-command profile (e.g. --profile-out written inside the
         # CLI root span) must see the phases that already completed.
-        configure_tracing(True)
         with trace("root"):
             with trace("done-phase"):
                 pass
@@ -85,23 +80,20 @@ class TestNesting:
 
 
 class TestRing:
-    def test_drain_empties_the_ring(self):
-        configure_tracing(True)
+    def test_drain_empties_the_ring(self, tracing):
         with trace("a"):
             pass
         drained = TRACER.drain()
         assert [span.name for span in drained] == ["a"]
         assert TRACER.finished() == []
 
-    def test_ring_capacity_bounds_memory(self):
-        configure_tracing(True)
+    def test_ring_capacity_bounds_memory(self, tracing):
         for i in range(1100):
             with trace("s"):
                 pass
         assert len(TRACER.finished()) == 1024
 
-    def test_adopt_under_open_span(self):
-        configure_tracing(True)
+    def test_adopt_under_open_span(self, tracing):
         foreign = Span("worker-span")
         with trace("sweep"):
             TRACER.adopt([foreign])
@@ -109,16 +101,14 @@ class TestRing:
         assert root.name == "sweep"
         assert foreign in root.children
 
-    def test_adopt_without_open_span_goes_to_ring(self):
-        configure_tracing(True)
+    def test_adopt_without_open_span_goes_to_ring(self, tracing):
         foreign = Span("worker-span")
         TRACER.adopt([foreign])
         assert foreign in TRACER.finished()
 
 
 class TestThreads:
-    def test_threads_keep_separate_stacks(self):
-        configure_tracing(True)
+    def test_threads_keep_separate_stacks(self, tracing):
         errors = []
         barrier = threading.Barrier(4)
 
@@ -148,8 +138,7 @@ class TestThreads:
             # thread's inner span.
             assert [c.name for c in root.children] == [f"inner-{tag}"]
 
-    def test_span_round_trips_through_dicts(self):
-        configure_tracing(True)
+    def test_span_round_trips_through_dicts(self, tracing):
         with trace("root", n=3):
             with trace("leaf"):
                 pass
@@ -186,13 +175,12 @@ class TestRingEviction:
         tracer.adopt([Span("c"), Span("d")])
         assert sum(dropped) == 1
 
-    def test_process_tracer_counts_dropped_spans(self):
+    def test_process_tracer_counts_dropped_spans(self, tracing):
         # The facade wires the process tracer's eviction hook to the
         # obs.spans.dropped counter, so a truncated profile is visible
         # in `repro metrics show` instead of silent.
         from repro.obs.trace import DEFAULT_RING_CAPACITY
 
-        configure_tracing(True)
         for _ in range(DEFAULT_RING_CAPACITY + 5):
             with trace("s"):
                 pass
@@ -270,10 +258,9 @@ class TestConcurrentEviction:
         assert sum(dropped) == 4 * 25 * 2 - 8
         assert len(tracer.roots()) == 8
 
-    def test_process_counter_is_exact_under_thread_races(self):
+    def test_process_counter_is_exact_under_thread_races(self, tracing):
         from repro.obs.trace import DEFAULT_RING_CAPACITY
 
-        configure_tracing(True)
         per_thread = DEFAULT_RING_CAPACITY // 2
 
         def work(tag):

@@ -15,22 +15,22 @@ from repro.chain import (
 from repro.core import k_leader_election, leader_election
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
+from repro.context import use
 from repro.results import (
-    configure_query_memo,
     decode_value,
     encode_value,
     query_memo,
     query_token,
     task_token,
 )
+from repro.results import memo as memo_module
 from repro.runner import SweepSpec, run_sweep
 
 
 @pytest.fixture
 def memo(tmp_path):
-    installed = configure_query_memo(tmp_path / "memo")
-    yield installed
-    configure_query_memo(None)
+    with use(results_memo=str(tmp_path / "memo")):
+        yield query_memo()
 
 
 def queries_for(n):
@@ -135,17 +135,19 @@ class TestRunQueriesMemo:
         partial = run_group_queries(items[:1] + [items[2]])
         assert partial == [cold[0], cold[2]]
 
-    def test_memo_survives_process_restart(self, tmp_path):
+    def test_memo_survives_process_restart(self, tmp_path, monkeypatch):
         alpha = RandomnessConfiguration.from_group_sizes((2, 3))
         chain = compile_chain(alpha, adversarial_assignment((2, 3)))
-        configure_query_memo(tmp_path / "memo")
-        cold = run_queries(chain, queries_for(5))
-        configure_query_memo(None)
-        # A "new process": a fresh instance over the same directory.
-        fresh = configure_query_memo(tmp_path / "memo")
-        assert len(fresh) == len(cold)
-        warm = run_queries(chain, queries_for(5))
-        configure_query_memo(None)
+        with use(results_memo=str(tmp_path / "memo")):
+            cold = run_queries(chain, queries_for(5))
+        # A "new process": nothing loaded, a fresh instance over the
+        # same directory.
+        monkeypatch.setattr(memo_module, "_MEMO", None)
+        monkeypatch.setattr(memo_module, "_MEMO_DIR", None)
+        with use(results_memo=str(tmp_path / "memo")):
+            fresh = query_memo()
+            assert len(fresh) == len(cold)
+            warm = run_queries(chain, queries_for(5))
         assert warm == cold
 
     def test_no_memo_means_no_overhead_path(self):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis.report import result_to_dict
+from repro.context import Context
 from repro.runner import (
     ProcessPoolEngine,
     SerialEngine,
@@ -28,7 +29,10 @@ class TestEngineContract:
     def test_process_preserves_order(self):
         engine = ProcessPoolEngine(workers=2, chunksize=2)
         payloads = [
-            {"spec": {"sizes": [1, 1]}, "master_seed": 0, "index": i}
+            {
+                "spec": {"sizes": [1, 1]}, "master_seed": 0, "index": i,
+                "context": Context(),
+            }
             for i in range(5)
         ]
         records = list(engine.map(execute_run, payloads))
@@ -42,7 +46,10 @@ class TestEngineContract:
         # still hold and every payload must be consumed.
         engine = ProcessPoolEngine(workers=2)
         payloads = (
-            {"spec": {"sizes": [1, 1]}, "master_seed": 0, "index": i}
+            {
+                "spec": {"sizes": [1, 1]}, "master_seed": 0, "index": i,
+                "context": Context(),
+            }
             for i in range(10)
         )
         records = list(engine.map(execute_run, payloads))

@@ -5,21 +5,15 @@ import json
 import pytest
 
 from repro.chain import clear_memo
-from repro.obs import (
-    OBS,
-    TRACER,
-    configure_tracing,
-    reset_telemetry,
-)
+from repro.context import Context, use
+from repro.obs import OBS, TRACER, reset_telemetry
 from repro.runner import ProcessPoolEngine, SerialEngine, SweepSpec, run_sweep
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
-    configure_tracing(False)
     reset_telemetry()
     yield
-    configure_tracing(False)
     reset_telemetry()
 
 
@@ -61,16 +55,13 @@ def _engine_invariant(snapshot):
 
 class TestPoolMergeDeterminism:
     def test_pool_matches_serial_on_engine_invariant_counters(
-        self, tmp_path, sweep
+        self, tmp_path, sweep, tracing
     ):
-        configure_tracing(True)
-
         clear_memo()
         run_sweep(sweep, engine=SerialEngine(), run_dir=tmp_path / "serial")
         serial = _engine_invariant(OBS.metrics.snapshot())
 
         reset_telemetry()
-        configure_tracing(True)
         clear_memo()
         run_sweep(
             sweep,
@@ -83,8 +74,9 @@ class TestPoolMergeDeterminism:
         assert serial["runner.jobs"] == 12  # 3 shapes x 2 models x 2 tasks
         assert serial["chain.compile.total"] > 0
 
-    def test_pool_spans_are_adopted_into_the_parent(self, tmp_path, sweep):
-        configure_tracing(True)
+    def test_pool_spans_are_adopted_into_the_parent(
+        self, tmp_path, sweep, tracing
+    ):
         clear_memo()
         run_sweep(
             sweep,
@@ -117,21 +109,22 @@ class TestRecordHygiene:
             warehouse=False,
         )
 
-        configure_tracing(True)
         clear_memo()
-        run_sweep(
-            sweep,
-            engine=ProcessPoolEngine(workers=2),
-            run_dir=tmp_path / "on",
-            warehouse=False,
-        )
+        with use(trace=True):
+            run_sweep(
+                sweep,
+                engine=ProcessPoolEngine(workers=2),
+                run_dir=tmp_path / "on",
+                warehouse=False,
+            )
 
         assert stripped(tmp_path / "off" / "records.jsonl") == stripped(
             tmp_path / "on" / "records.jsonl"
         )
 
-    def test_no_telemetry_keys_leak_into_records(self, tmp_path, sweep):
-        configure_tracing(True)
+    def test_no_telemetry_keys_leak_into_records(
+        self, tmp_path, sweep, tracing
+    ):
         clear_memo()
         outcome = run_sweep(sweep, run_dir=tmp_path / "run")
         for record in outcome.records:
@@ -158,7 +151,9 @@ class TestExperimentPathTelemetry:
     def test_execute_experiment_ships_telemetry_when_traced(self):
         from repro.runner.worker import execute_experiment
 
-        record = execute_experiment({"index": 0, "obs": True})
+        record = execute_experiment(
+            {"index": 0, "context": Context(trace=True)}
+        )
         assert record["telemetry"]["metrics"]["counters"][
             "runner.experiments"
         ] == 1
@@ -168,18 +163,17 @@ class TestExperimentPathTelemetry:
     def test_execute_experiment_stays_clean_untraced(self):
         from repro.runner.worker import execute_experiment
 
-        record = execute_experiment({"index": 0})
+        record = execute_experiment({"index": 0, "context": Context()})
         assert "telemetry" not in record
 
     def test_engine_path_folds_worker_telemetry_into_parent(
-        self, monkeypatch
+        self, monkeypatch, tracing
     ):
         import repro.analysis as analysis
 
         monkeypatch.setattr(
             analysis, "ALL_EXPERIMENTS", analysis.ALL_EXPERIMENTS[:1]
         )
-        configure_tracing(True)
         results = list(
             analysis.iter_all_experiments(engine=_InlineEngine())
         )

@@ -8,6 +8,7 @@ from repro.analysis import (
     run_all_experiments,
 )
 from repro.analysis.worst_case_search import exhaustive_worst_case
+from repro.context import Context
 from repro.core import ConsistencyChain, leader_election
 from repro.randomness import RandomnessConfiguration
 from repro.runner import ProcessPoolEngine, SerialEngine
@@ -67,7 +68,7 @@ class TestExperimentFanOut:
     def test_worker_returns_the_result_with_native_cell_types(self):
         from repro.analysis import ALL_EXPERIMENTS
 
-        record = execute_experiment({"index": 0})
+        record = execute_experiment({"index": 0, "context": Context()})
         direct = ALL_EXPERIMENTS[0]()
         assert record["result"].experiment_id == direct.experiment_id
         assert record["result"].passed == direct.passed

@@ -11,20 +11,13 @@ import json
 
 import pytest
 
-from repro.chain import configure_disk_cache, configure_shared_chains
+from repro.context import use
 from repro.runner import (
     ProcessPoolEngine,
     SerialEngine,
     SweepSpec,
     run_sweep,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    yield
-    configure_shared_chains(None)
-    configure_disk_cache(None)
 
 
 def _strip_timing(records):
@@ -226,13 +219,13 @@ class TestProcessContext:
     ):
         from repro.chain import disk_cache
 
-        installed = configure_disk_cache(tmp_path / "mine")
-        run_sweep(_sweep(), engine=ProcessPoolEngine(workers=2))
-        assert disk_cache() is installed
+        with use(chain_cache=str(tmp_path / "mine")):
+            installed = disk_cache()
+            run_sweep(_sweep(), engine=ProcessPoolEngine(workers=2))
+            assert disk_cache() is installed
 
     def test_quotient_mode_travels_in_every_pool_payload(self):
         from repro.analysis import iter_all_experiments
-        from repro.chain import configure_quotient
 
         captured = []
 
@@ -243,13 +236,10 @@ class TestProcessContext:
                 captured.extend(payloads)
                 return iter(())
 
-        configure_quotient("on")
-        try:
+        with use(quotient="on"):
             list(iter_all_experiments(engine=SpyEngine()))
-        finally:
-            configure_quotient("off")
         assert captured and all(
-            payload["quotient"] == "on" for payload in captured
+            payload["context"].quotient == "on" for payload in captured
         )
 
     def test_pooled_experiments_get_a_published_chain_manifest(self):
@@ -267,7 +257,7 @@ class TestProcessContext:
 
         list(iter_all_experiments(engine=SpyEngine()))
         assert captured and all(
-            payload.get("chain_shm") for payload in captured
+            payload["context"].chain_shm for payload in captured
         )
 
 
@@ -288,20 +278,20 @@ class TestWarmWorkersSkipDisk:
         from repro.randomness import RandomnessConfiguration
 
         alpha = RandomnessConfiguration.from_group_sizes((1, 1, 2))
-        configure_disk_cache(tmp_path / "chains")
-        chain = compile_chain(alpha)  # compiles and warms the disk cache
-        with SharedChainStore() as store:
-            store.publish(chain)
-            configure_shared_chains(store.manifest)
-            monkeypatch.setattr(
-                ChainDiskCache,
-                "load",
-                lambda self, key: pytest.fail(
-                    "cache-warm chain was loaded from disk despite "
-                    "shared memory"
-                ),
-            )
-            clear_memo()
-            attached = compile_chain(alpha)
-            assert attached.key == chain.key
-            assert hasattr(attached, "_shm")
+        with use(chain_cache=str(tmp_path / "chains")):
+            chain = compile_chain(alpha)  # compiles and warms the disk cache
+            with SharedChainStore() as store:
+                store.publish(chain)
+                with use(chain_shm=store.manifest):
+                    monkeypatch.setattr(
+                        ChainDiskCache,
+                        "load",
+                        lambda self, key: pytest.fail(
+                            "cache-warm chain was loaded from disk despite "
+                            "shared memory"
+                        ),
+                    )
+                    clear_memo()
+                    attached = compile_chain(alpha)
+                    assert attached.key == chain.key
+                    assert hasattr(attached, "_shm")

@@ -6,7 +6,8 @@ import pytest
 from repro.core import leader_election
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
-from repro.results.memo import configure_query_memo, query_memo
+from repro.context import use
+from repro.results.memo import query_memo
 from repro.sampling import (
     BLOCK_SAMPLES,
     MCEstimate,
@@ -25,9 +26,8 @@ def cell():
 
 @pytest.fixture
 def memo_dir(tmp_path):
-    configure_query_memo(tmp_path / "memo")
-    yield tmp_path / "memo"
-    configure_query_memo(None)
+    with use(results_memo=str(tmp_path / "memo")):
+        yield tmp_path / "memo"
 
 
 class TestMCEstimate:

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.obs import OBS, configure_tracing, reset_telemetry
+from repro.context import use
+from repro.obs import OBS, reset_telemetry
 from repro.runner import ProcessPoolEngine, SerialEngine, SweepSpec, run_sweep
 
 
@@ -67,14 +68,15 @@ class TestWarehouseMCCells:
         warehouse = tmp_path / "shared"
         sweep = SweepSpec(**sweep_args)
         run_sweep(sweep, run_dir=tmp_path / "cold", warehouse=warehouse)
-        previous = configure_tracing(True)
         reset_telemetry()
         try:
-            run_sweep(sweep, run_dir=tmp_path / "warm", warehouse=warehouse)
+            with use(trace=True):
+                run_sweep(
+                    sweep, run_dir=tmp_path / "warm", warehouse=warehouse
+                )
             hits = OBS.metrics.counter("mc.memo.hit")
             fresh = OBS.metrics.counter("mc.blocks")
         finally:
-            configure_tracing(previous)
             reset_telemetry()
         assert hits == len(sweep.expand()) * 2  # 2 full blocks per cell
         assert fresh == 0

@@ -145,17 +145,19 @@ class TestCommands:
         assert main(["series", "2,3", "--t-max", "4", "--quotient"]) == 0
         assert capsys.readouterr().out == series_full
 
-    def test_quotient_flag_sets_the_process_mode(self, capsys):
+    def test_quotient_flag_sets_the_commands_mode(self, monkeypatch):
+        from repro import cli
         from repro.chain import quotient_mode
 
+        seen = []
+        monkeypatch.setattr(
+            cli, "cmd_solve", lambda args: seen.append(quotient_mode()) or 0
+        )
         assert main(["solve", "1,1", "--quotient"]) == 0
-        assert quotient_mode() == "on"
         assert main(["solve", "1,1", "--no-quotient"]) == 0
-        assert quotient_mode() == "off"
         # Flag absent on a quotient-aware command: auto.
         assert main(["solve", "1,1"]) == 0
-        assert quotient_mode() == "auto"
-        capsys.readouterr()
+        assert seen == ["on", "off", "auto"]
 
     def test_report(self, tmp_path, capsys):
         # Running all experiments is slow-ish; limit via direct call is
@@ -163,3 +165,27 @@ class TestCommands:
         assert main(["report", str(tmp_path)]) == 0
         assert (tmp_path / "experiments.json").exists()
         assert "experiments pass" in capsys.readouterr().out
+
+
+class TestCommandsLeaveNoState:
+    """A command's flags apply to that command only: after ``main``
+    returns, the process computes exactly as before it was called."""
+
+    def test_solve_leaves_the_quotient_mode_alone(self, capsys):
+        from repro.chain import quotient_mode
+
+        assert main(["solve", "1,2"]) == 0
+        assert quotient_mode() == "off"
+
+    def test_trace_flag_leaves_tracing_off(self, capsys):
+        from repro.obs import OBS
+
+        assert main(["--trace", "solve", "1,2"]) == 0
+        assert "repro.solve" in capsys.readouterr().out
+        assert OBS.enabled is False
+
+    def test_run_leaves_no_warehouse_memo_installed(self, tmp_path, capsys):
+        from repro.results.memo import query_memo
+
+        assert main(["run", "1,2", "--warehouse", str(tmp_path)]) == 0
+        assert query_memo() is None
