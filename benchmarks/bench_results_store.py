@@ -39,6 +39,8 @@ import tempfile
 import time
 
 from repro.chain import clear_memo
+from repro.context import use
+from repro.obs import OBS, reset_telemetry
 from repro.results import ResultsStore
 from repro.runner import RunDirectory, SweepSpec, aggregate_records, run_sweep
 
@@ -93,9 +95,18 @@ def measure() -> dict:
         warm_seconds = time.perf_counter() - started
 
         # Every warm cell came from the memo; no chain was compiled.
-        memo_hits = sum(g["memo_hits"] for g in warm.group_stats)
+        # Counted on an untimed traced rerun (a third fresh run
+        # directory), so tracing never touches the timed runs.
+        clear_memo()
+        reset_telemetry()
+        with use(trace=True):
+            run_sweep(sweep, run_dir=scratch / "warm-traced",
+                      warehouse=warehouse)
+        counters = OBS.metrics.snapshot()["counters"]
+        reset_telemetry()
+        memo_hits = counters.get("results.memo.hit", 0)
         assert memo_hits == warm.total, (memo_hits, warm.total)
-        assert all(g["chains"] == 0 for g in warm.group_stats)
+        assert counters.get("chain.compile.miss", 0) == 0
         # Byte-identity of the run directories (modulo timing).
         assert _stripped(scratch / "cold" / "records.jsonl") == _stripped(
             scratch / "warm" / "records.jsonl"

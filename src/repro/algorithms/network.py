@@ -25,6 +25,7 @@ the other nodes' time-``t-1`` knowledge.
 from __future__ import annotations
 
 import abc
+import collections.abc
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
@@ -168,7 +169,7 @@ class BlackboardNetwork(_BaseNetwork):
         self, outbox: Sequence[Payload | Mapping[int, Payload]]
     ) -> list[tuple[Payload, ...]]:
         for payload in outbox:
-            if isinstance(payload, Mapping):
+            if isinstance(payload, collections.abc.Mapping):
                 raise TypeError(
                     "blackboard nodes must post a single payload"
                 )
@@ -210,7 +211,7 @@ class CliqueNetwork(_BaseNetwork):
             for port in range(1, n):
                 sender = self.ports.neighbour(i, port)
                 sent = outbox[sender]
-                if isinstance(sent, Mapping):
+                if isinstance(sent, collections.abc.Mapping):
                     sender_port = self.ports.port_to(sender, i)
                     if sender_port not in sent:
                         raise ValueError(

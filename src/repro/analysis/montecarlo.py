@@ -120,65 +120,9 @@ def adaptive_estimate(
     return _as_estimate(mc, confidence)
 
 
-def parallel_estimate(
-    alpha: RandomnessConfiguration,
-    task: SymmetryBreakingTask,
-    t: int,
-    ports: PortAssignment | None = None,
-    *,
-    samples: int = 2000,
-    batches: int = 8,
-    confidence: float = 0.95,
-    seed: int = 0,
-    engine=None,
-) -> Estimate:
-    """Monte-Carlo estimate with batches fanned out over a runner engine.
-
-    The sample budget splits into ``batches`` contiguous ranges of one
-    shared substream; each worker evaluates its range as a pure function
-    of ``(seed, range)``, so the summed count is identical for a serial
-    engine, a process pool of any width, *and any batch count* -- the
-    decomposition is an implementation detail, not part of the estimate's
-    identity.  With ``engine=None`` the batches run in-process.
-    """
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    if not 1 <= batches <= samples:
-        raise ValueError("need 1 <= batches <= samples")
-    from ..runner.engines import SerialEngine
-    from ..context import current
-    from ..runner.worker import execute_sample_batch
-
-    engine = engine or SerialEngine()
-    base, extra = divmod(samples, batches)
-    context = current()
-    bounds = [0]
-    for index in range(batches):
-        bounds.append(bounds[-1] + base + (1 if index < extra else 0))
-    payloads = [
-        {
-            "alpha": alpha,
-            "task": task,
-            "ports": ports,
-            "t": t,
-            "start": bounds[index],
-            "stop": bounds[index + 1],
-            "seed": seed,
-            "context": context,
-        }
-        for index in range(batches)
-    ]
-    successes = sum(
-        record["successes"]
-        for record in engine.map(execute_sample_batch, payloads)
-    )
-    return _as_estimate(MCEstimate(successes, samples), confidence)
-
-
 __all__ = [
     "Estimate",
     "adaptive_estimate",
     "estimate_solving_probability",
-    "parallel_estimate",
     "wilson_interval",
 ]

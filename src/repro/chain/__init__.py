@@ -13,11 +13,7 @@ The package-level API:
 * :func:`run_queries` / :class:`QueryBatch` -- answer whole sets of
   ``(task, horizon, quantity)`` questions against one chain in shared
   topologically-ordered passes (:mod:`repro.chain.batch`), and
-  :func:`run_group_queries` -- the same for many chains in one call;
-* :class:`SharedChainStore` / :func:`shared_chain` -- place
-  compiled arrays in ``multiprocessing.shared_memory`` so pool workers
-  attach zero-copy views instead of re-loading from disk
-  (:mod:`repro.chain.shm`).
+  :func:`run_group_queries` -- the same for many chains in one call.
 
 ``repro.core.markov`` keeps its historical API as a thin facade over
 this engine; see ``CHAIN.md`` for the design.
@@ -52,7 +48,6 @@ from .engine import (
     clear_memo,
     compile_chain,
     memo_size,
-    memoized_chain,
     neighbour_tables,
     refine_labels,
     set_distribution_cache_cap,
@@ -70,11 +65,6 @@ from .quotient import (
     quotient_key,
     quotient_mode,
     resolve_quotient,
-)
-from .shm import (
-    SharedChainStore,
-    attach_chain,
-    shared_chain,
 )
 from .interning import (
     LabelVector,
@@ -102,9 +92,7 @@ __all__ = [
     "QueryBatch",
     "QueryPlan",
     "QuotientChain",
-    "SharedChainStore",
     "StateTable",
-    "attach_chain",
     "automorphism_count",
     "automorphism_generators",
     "back_port_tables",
@@ -123,7 +111,6 @@ __all__ = [
     "is_quotient_key",
     "labels_from_blocks",
     "memo_size",
-    "memoized_chain",
     "neighbour_tables",
     "quotient_key",
     "quotient_mode",
@@ -132,7 +119,6 @@ __all__ = [
     "run_group_queries",
     "run_queries",
     "set_distribution_cache_cap",
-    "shared_chain",
     "transition_density",
     "validate_backend",
 ]

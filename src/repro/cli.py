@@ -1155,7 +1155,7 @@ def cmd_run(args) -> int:
         print(f"progress: 1/1 {spec.job_key}", file=sys.stderr)
     # Telemetry rides next to the record fields; the printed record's
     # bytes stay identical with tracing on or off.
-    telemetry = record.pop("_telemetry", None)
+    telemetry = record.pop("telemetry", None)
     if telemetry is not None:
         from .obs import merge_telemetry
 
@@ -1546,8 +1546,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--table",
         default="records",
         help=(
-            "table to read (records | groups | experiments | telemetry; "
-            "default records)"
+            "table to read (records | experiments | telemetry, or any "
+            "other table the warehouse holds; default records)"
         ),
     )
     p.add_argument(

@@ -31,9 +31,6 @@ class Context:
     trace: bool = False
     #: Directory of the on-disk compiled-chain cache.
     chain_cache: "str | None" = None
-    #: ``{key digest: "segment@offset"}`` of chains published to shared
-    #: memory by the sweep parent.
-    chain_shm: "dict[str, str] | None" = None
     #: Directory of the cross-run query memo (a warehouse's ``memo/``).
     results_memo: "str | None" = None
     #: Directory workers append live heartbeats to (``repro.obs.live``).

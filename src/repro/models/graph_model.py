@@ -1,7 +1,8 @@
 """Knowledge evolution on anonymous port-numbered graphs.
 
 Generalizes Eq. (2) from the clique to arbitrary connected topologies,
-with a semantic switch that matters off the clique:
+with a semantic switch that matters off the clique and, from n = 5,
+on it:
 
 * ``include_back_ports=False`` (the paper's Eq. 2): node ``i`` receives,
   on its port ``p``, the previous knowledge of the neighbour behind ``p``.
@@ -11,9 +12,13 @@ with a semantic switch that matters off the clique:
   sender's ports faces it*; the received item on port ``p`` becomes the
   pair ``(K_neighbour(t-1), back-port)``.
 
-On the clique the two semantics yield the same solvability
-characterization (Theorem 4.2 is robust to the switch -- tested), but on
-general graphs the back-ports are essential: e.g. the two sides of
+On the clique the two semantics agree on every port table of every
+gcd = 1 shape with n <= 4, but not beyond: at shape (2, 3) the table
+where node i's port p leads to its p-th smallest neighbour has limit 0
+without back ports and 1 with them, and the Euclid protocol (whose
+per-port payloads carry back-port information) elects a leader on it
+(``tests/integration/test_port_semantics.py``).  Off the clique the
+back-ports matter even more: e.g. the two sides of
 ``K_{m,n}`` can only be broken apart by port information travelling with
 the messages.  The cited Codenotti et al. result (leader election on
 ``K_{m,n}`` iff ``gcd(m,n) = 1``) is reproduced under the classical

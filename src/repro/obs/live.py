@@ -192,23 +192,17 @@ class HeartbeatEmitter:
         return delta
 
     # -- job lifecycle hooks (called by the runner's worker functions) --
-    def job_started(self, phase: str = "job", count: int = 1) -> None:
-        """Record ``count`` jobs entering execution; maybe beat."""
-        self.jobs_started += count
+    def job_started(self, phase: str = "job") -> None:
+        """Record one job entering execution; maybe beat."""
+        self.jobs_started += 1
         self.phase = phase
         self.beat()
 
-    def job_finished(self, count: int = 1) -> None:
-        """Record ``count`` jobs completed; always beats."""
-        self.jobs_finished += count
+    def job_finished(self) -> None:
+        """Record one job completed; always beats."""
+        self.jobs_finished += 1
         self.phase = "idle"
         self.beat(force=True)
-
-    def pulse(self, phase: "str | None" = None) -> None:
-        """Cheap mid-job liveness: update the phase, maybe beat."""
-        if phase is not None:
-            self.phase = phase
-        self.beat()
 
 
 class _LiveFacade:

@@ -71,19 +71,6 @@ RECORD_COLUMNS: dict[str, str] = {
     "extra": "str",
 }
 
-#: Fixed schema of the ``groups`` table (per-group sweep diagnostics).
-GROUP_COLUMNS: dict[str, str] = {
-    "master_seed": "int",
-    "jobs": "int",
-    "chains": "int",
-    "states": "int",
-    "transitions": "int",
-    "density": "float",
-    "evolution": "str",
-    "memo_hits": "int",
-    "elapsed": "float",
-}
-
 #: Fixed schema of the ``experiments`` table (report outcomes).
 EXPERIMENT_COLUMNS: dict[str, str] = {
     "experiment_id": "str",
@@ -783,7 +770,6 @@ def _nan_safe(value: float) -> object:
 
 __all__ = [
     "EXPERIMENT_COLUMNS",
-    "GROUP_COLUMNS",
     "KINDS",
     "RECORD_COLUMNS",
     "TELEMETRY_COLUMNS",

@@ -54,7 +54,6 @@ from .worker import (
     execute_experiment,
     execute_port_chunk,
     execute_run,
-    execute_sample_batch,
 )
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "execute_experiment",
     "execute_port_chunk",
     "execute_run",
-    "execute_sample_batch",
     "make_engine",
     "make_ports",
     "make_task",

@@ -32,13 +32,6 @@ class ExecutionEngine(abc.ABC):
     #: Engine name as spelled on the CLI (``--engine``).
     name: str = "abstract"
 
-    #: Whether this engine's workers run in separate processes that can
-    #: attach chains published to shared memory (``repro.chain.shm``).
-    #: ``run_sweep`` consults this to decide whether publishing a
-    #: :class:`~repro.chain.shm.SharedChainStore` is worthwhile; in-
-    #: process engines share the compile memo directly and never need one.
-    supports_shared_chains: bool = False
-
     @abc.abstractmethod
     def map(
         self, fn: Callable[[dict], dict], payloads: Iterable[dict]
@@ -76,8 +69,6 @@ class ProcessPoolEngine(ExecutionEngine):
         self,
         workers: int | None = None,
         chunksize: int | None = None,
-        *,
-        shared_chains: bool = True,
     ):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
@@ -85,9 +76,6 @@ class ProcessPoolEngine(ExecutionEngine):
             raise ValueError("chunksize must be >= 1")
         self.workers = workers or os.cpu_count() or 1
         self.chunksize = chunksize
-        #: ``shared_chains=False`` opts a pool out of shared-memory
-        #: chain distribution (workers fall back to the disk cache).
-        self.supports_shared_chains = shared_chains
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessPoolEngine(workers={self.workers})"

@@ -16,7 +16,6 @@ so two runs of the same sweep compare byte-for-byte.
 
 from __future__ import annotations
 
-import math
 import pathlib
 from dataclasses import dataclass, field, replace
 
@@ -24,199 +23,8 @@ from ..context import current
 from ..obs import OBS, merge_telemetry, trace
 from .engines import ExecutionEngine, SerialEngine
 from .persistence import RunDirectory
-from .spec import SweepSpec, derive_seed, make_ports
-from .worker import execute_run, execute_run_group
-
-
-def _iter_job_payloads(payloads):
-    """Flat job payloads, whether ``payloads`` is grouped or not."""
-    for payload in payloads:
-        if "jobs" in payload:
-            yield from payload["jobs"]
-        else:
-            yield payload
-
-
-#: Per-bin state cap for grouped dispatch: no group payload is packed
-#: past this many (estimated) compiled states, however few bins the
-#: sweep splits into.
-GROUP_STATE_CAP = 1 << 15
-
-#: Bell numbers B(0)..B(10): the partition count of an n-set bounds a
-#: consistency chain's state count from above, so it is the bin-weight
-#: state proxy for chains nobody has compiled yet.
-_BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
-
-
-def _family_state_weight(spec) -> int:
-    """Estimated compiled-state count of one job family's chain.
-
-    An already-compiled chain (process memo, under the key the active
-    quotient mode would compile to) reports its true ``num_states``;
-    otherwise the Bell number of ``n`` -- the number of partitions of
-    the node set, an upper bound on reachable consistency states --
-    stands in, divided by the automorphism group's order when the
-    quotient backend will fold this family (orbit counts are bounded
-    below by ``Bell(n) / |G|``), and capped at the group budget so one
-    huge family cannot zero out everyone else's bin space.  Random-port
-    families draw a fresh chain per job, so they always use the
-    estimate.
-    """
-    from ..chain import (
-        automorphism_count,
-        effective_chain_key,
-        is_quotient_key,
-        memoized_chain,
-    )
-    from ..randomness.configuration import RandomnessConfiguration
-
-    key = None
-    if spec.ports != "random":
-        alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
-        ports = make_ports(spec.ports, spec.sizes, 0)
-        key = effective_chain_key(alpha, ports)
-        chain = memoized_chain(key)
-        if chain is not None:
-            return chain.num_states
-    n = spec.n
-    estimate = _BELL[n] if n < len(_BELL) else _BELL[-1]
-    if key is not None and is_quotient_key(key):
-        estimate = max(1, math.ceil(estimate / automorphism_count(key)))
-    return min(estimate, GROUP_STATE_CAP)
-
-
-def _group_job_payloads(jobs, payloads, engine):
-    """Pack contiguous chain families into group payloads, or ``None``.
-
-    The sweep grammar expands tasks (and replicates) innermost, so jobs
-    sharing one compiled chain -- same sizes/model/ports/replicate --
-    are contiguous index runs; packing whole runs into bins keeps each
-    bin a contiguous index range, which is what makes grouped run
-    directories byte-identical to serial ungrouped ones (records land
-    in index order either way).
-
-    Bins are budgeted by **compiled states**, not job count: each run
-    weighs its family's (estimated) compiled-state count
-    (:func:`_family_state_weight`), the per-bin budget is the total
-    weight split over four bins per pool worker, and no bin ever
-    exceeds :data:`GROUP_STATE_CAP` -- so a shape axis mixing n=3 and
-    n=8 families no longer hands one worker all the heavy chains that
-    another worker's job-count-equal bin dodged.
-    Returns ``None`` -- dispatch one payload per job -- when the sweep
-    is sampling-kind (Monte-Carlo jobs gain nothing from a shared
-    chain) or there is at most one job.
-    """
-    if len(payloads) < 2:
-        return None
-    if any(jobs[p["index"]].kind != "exact" for p in payloads):
-        return None
-    runs: list[list[dict]] = []
-    weights: list[int] = []
-    marker = None
-    for payload in payloads:
-        spec = jobs[payload["index"]]
-        family = (spec.sizes, spec.model, spec.ports, spec.replicate)
-        if family != marker:
-            marker = family
-            runs.append([])
-            weights.append(_family_state_weight(spec))
-        runs[-1].append(payload)
-    workers = getattr(engine, "workers", 1) or 1
-    bins = max(1, min(len(runs), workers * 4))
-    budget = min(GROUP_STATE_CAP, max(1, math.ceil(sum(weights) / bins)))
-    groups: list[list[dict]] = []
-    current: list[dict] = []
-    current_weight = 0
-    for run, weight in zip(runs, weights):
-        if current and current_weight + weight > budget:
-            groups.append(current)
-            current = []
-            current_weight = 0
-        current.extend(run)
-        current_weight += weight
-    if current:
-        groups.append(current)
-    return [{"jobs": group} for group in groups]
-
-
-def _publish_shared_chains(jobs, payloads, directory):
-    """Publish the sweep's deterministic chains to shared memory.
-
-    Every ``kind="exact"`` job with a non-random port assignment uses a
-    chain fully determined by its spec, so the parent can place each
-    distinct chain's arrays in shared memory once and let workers attach
-    by chain key instead of unpickling from disk.  To avoid stalling the
-    pool behind serial parent-side compilation, cold chains are only
-    compiled here when the sweep has *no* run directory (no disk cache
-    for workers to share through -- parent-compiling once still beats
-    every worker compiling its own copy); with a run directory, the
-    parent publishes what loads warm from the disk cache / memo and
-    leaves cold chains to the workers, which share them through the
-    cache exactly as before (and publish warm on the next resume).
-    Random-port and sampling jobs are always left to the workers (their
-    chains are one-shot / unneeded).  Returns the live
-    :class:`~repro.chain.shm.SharedChainStore` (the caller ships its
-    manifest in the payload context and closes it once the engine has
-    drained) or ``None`` when there is nothing to share or shared memory
-    is unavailable on this platform.
-
-    Chains are keyed by their *effective* key -- structural key plus
-    the quotient tag the active quotient mode resolves to -- so workers
-    compiling under the same mode attach exactly what was published.
-    """
-    from ..chain import (
-        ChainDiskCache,
-        compile_chain,
-        effective_chain_key,
-        memoized_chain,
-    )
-    from ..chain.shm import SharedChainStore
-    from ..randomness.configuration import RandomnessConfiguration
-
-    shareable = []
-    seen = set()
-    for payload in _iter_job_payloads(payloads):
-        spec = jobs[payload["index"]]
-        if spec.kind != "exact" or spec.ports == "random":
-            continue
-        marker = (spec.sizes, spec.ports)
-        if marker not in seen:
-            seen.add(marker)
-            shareable.append(spec)
-    if not shareable:
-        return None
-    # Warm loads: the parent reads the run directory's disk cache so
-    # resumed sweeps publish without recompiling anything.
-    warm = (
-        None if directory is None
-        else ChainDiskCache(directory.path / "chains")
-    )
-    store = SharedChainStore()
-    try:
-        chains = []
-        for spec in shareable:
-            alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
-            ports = make_ports(spec.ports, spec.sizes, 0)
-            key = effective_chain_key(alpha, ports)
-            chain = memoized_chain(key)
-            if chain is None and warm is not None:
-                chain = warm.load(key)
-            if chain is None:
-                if directory is not None:
-                    continue  # cold + disk-cached sweep: workers share it
-                chain = compile_chain(alpha, ports)
-            chains.append(chain)
-        # One segment for the whole sweep: workers attach it once and
-        # read every chain at a byte offset.
-        store.publish_group(chains)
-    except OSError:
-        # No (or full) /dev/shm: fall back to the disk-cache-only path.
-        store.close()
-        return None
-    if not len(store):
-        store.close()
-        return None
-    return store
+from .spec import SweepSpec, derive_seed
+from .worker import execute_run
 
 
 @dataclass
@@ -230,10 +38,6 @@ class SweepOutcome:
     executed: int
     #: How many jobs were skipped because the run directory had them.
     resumed: int
-    #: Per-group diagnostics from grouped dispatch (summed size,
-    #: density, evolution verdict, memo hits); lands in the warehouse's
-    #: ``groups`` table, never in the job records.
-    group_stats: list[dict] = field(default_factory=list)
     #: Fields like the aggregate are derived; see :meth:`result`.
     _result: "object | None" = field(default=None, repr=False)
 
@@ -439,82 +243,46 @@ def run_sweep(
             resumed=len(prior),
         )
     context = replace(current(), **changes)
-    # The shape-grouping dispatcher: hand each worker one group payload
-    # (one shared-memory attach) per slice of the grid instead of one
-    # payload per grid point.
-    grouped = _group_job_payloads(jobs, payloads, engine)
-    dispatch = payloads if grouped is None else grouped
-    worker_fn = execute_run if grouped is None else execute_run_group
-    shm_store = None
-    executed = 0
+    for payload in payloads:
+        payload["context"] = context
     fresh: list[dict] = []
-    group_stats: list[dict] = []
     try:
-        if dispatch and getattr(engine, "supports_shared_chains", False):
-            with trace("sweep.publish"):
-                shm_store = _publish_shared_chains(jobs, dispatch, directory)
-            if shm_store is not None:
-                context = replace(context, chain_shm=shm_store.manifest)
-        for payload in dispatch:
-            payload["context"] = context
         if monitor is not None:
             monitor.start()
             from ..obs.live import monitored_map
 
-            results = monitored_map(engine, worker_fn, dispatch, monitor)
+            results = monitored_map(engine, execute_run, payloads, monitor)
         else:
-            results = engine.map(worker_fn, dispatch)
-        with trace("sweep.execute", jobs=len(dispatch)):
-            for result in results:
+            results = engine.map(execute_run, payloads)
+        with trace("sweep.execute", jobs=len(payloads)):
+            for record in results:
                 # Workers attach their drained telemetry *next to* the
-                # record payload; fold it into this process before
+                # record fields; fold it into this process before
                 # anything is persisted, so record bytes are identical
                 # with tracing on or off.  (Serial engines drain and
                 # merge back in-process: a no-op for the totals.)
-                telemetry = result.pop(
-                    "telemetry" if grouped is not None else "_telemetry",
-                    None,
-                )
+                telemetry = record.pop("telemetry", None)
                 if telemetry is not None:
                     merge_telemetry(telemetry)
-                if grouped is not None and "group" in result:
-                    group_stats.append(
-                        {**result["group"], "master_seed": sweep.master_seed}
-                    )
-                for record in (
-                    (result,) if grouped is None else result["records"]
-                ):
-                    if directory is not None:
-                        directory.append(record)
-                    fresh.append(record)
-                    executed += 1
-                    if monitor is not None:
-                        monitor.note_record(record)
-                    if progress is not None:
-                        progress(record)
+                if directory is not None:
+                    directory.append(record)
+                fresh.append(record)
+                if monitor is not None:
+                    monitor.note_record(record)
+                if progress is not None:
+                    progress(record)
     finally:
         if monitor is not None:
             # Flush the final progress event (``event: "end"``) and stop
             # the monitor thread.
             monitor.stop()
-        if shm_store is not None:
-            # Unlinking is safe while workers still hold mappings; only
-            # the names disappear, live views stay valid until exit.
-            shm_store.close()
         if store is not None:
-            # Land what this invocation produced: the fresh job records
-            # (watermarked -- only the new JSONL bytes are read) and the
-            # grouped-dispatch diagnostics.
+            # Land the fresh job records (watermarked -- only the new
+            # JSONL bytes are read).
             try:
                 with trace("sweep.ingest"):
                     if directory is not None:
                         store.ingest_run_directory(directory)
-                    if group_stats:
-                        from ..results.store import GROUP_COLUMNS
-
-                        store.append_rows(
-                            "groups", group_stats, GROUP_COLUMNS
-                        )
                 if OBS.enabled:
                     # Land the folded sweep telemetry as queryable rows
                     # (``repro results query --table telemetry``).  The
@@ -538,9 +306,8 @@ def run_sweep(
     return SweepOutcome(
         sweep=sweep,
         records=records,
-        executed=executed,
+        executed=len(fresh),
         resumed=len(prior),
-        group_stats=group_stats,
     )
 
 

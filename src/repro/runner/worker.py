@@ -9,7 +9,7 @@ result cannot depend on which worker ran the job or in what order.
 
 Every payload also carries the producer's execution context under
 ``"context"`` (:class:`repro.context.Context`: quotient mode, tracing,
-chain cache, shm manifest, results memo, heartbeats); each entry point
+chain cache, results memo, heartbeats); each entry point
 runs under ``with use(payload["context"])``, so a worker computes
 exactly as its parent would and no job's context outlives the job.
 
@@ -23,18 +23,12 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from ..chain import (
-    CompiledChain,
-    Query,
-    compile_chain,
-    run_group_queries,
-    run_queries,
-)
+from ..chain import CompiledChain, Query, compile_chain, run_queries
 from ..context import use
 from ..core.tasks import SymmetryBreakingTask
 from ..obs import LIVE, OBS, drain_telemetry, trace
 from ..randomness.configuration import RandomnessConfiguration
-from ..sampling import sample_cell, sample_range
+from ..sampling import sample_cell
 from .spec import RunSpec, derive_seed, make_ports, make_task
 
 
@@ -103,30 +97,6 @@ def _in_payload_context(execute):
     return run
 
 
-def _exact_value(limit: Fraction) -> dict:
-    """The value fields of an exact-job record (one shape, every path)."""
-    return {
-        "limit": str(limit),
-        "limit_float": float(limit),
-        "solvable": limit == 1,
-    }
-
-
-def _job_record(payload: dict, spec: RunSpec, seed: int, alpha,
-                value: dict, elapsed: float) -> dict:
-    """One job record; grouped and per-job execution share this shape,
-    so the grouped dispatch can never silently drift from serial."""
-    return {
-        "key": spec.job_key,
-        "index": int(payload.get("index", 0)),
-        "spec": spec.to_dict(),
-        "seed": seed,
-        "gcd": alpha.gcd,
-        "value": value,
-        "elapsed": elapsed,
-    }
-
-
 @_in_payload_context
 def execute_run(payload: dict) -> dict:
     """Execute one :class:`~repro.runner.spec.RunSpec` job.
@@ -157,7 +127,11 @@ def execute_run(payload: dict) -> dict:
                     chain = compile_chain(alpha, ports)
                 with trace("job.evolve"):
                     limit = exact_limit_value(chain, task)
-            value = _exact_value(limit)
+            value = {
+                "limit": str(limit),
+                "limit_float": float(limit),
+                "solvable": limit == 1,
+            }
         else:  # sample
             # The substream is keyed by the spec's *stream key* -- the
             # cell axes minus samples/task/t -- so a rerun at a larger
@@ -184,7 +158,15 @@ def execute_run(payload: dict) -> dict:
                 "successes": estimate.successes,
                 "samples": estimate.samples,
             }
-    record = _job_record(payload, spec, seed, alpha, value, timer.duration)
+    record = {
+        "key": spec.job_key,
+        "index": int(payload.get("index", 0)),
+        "spec": spec.to_dict(),
+        "seed": seed,
+        "gcd": alpha.gcd,
+        "value": value,
+        "elapsed": timer.duration,
+    }
     if LIVE.emitter is not None:
         LIVE.emitter.job_finished()
     if OBS.enabled:
@@ -192,111 +174,8 @@ def execute_run(payload: dict) -> dict:
         # Telemetry rides *next to* the record fields under a key the
         # sweep orchestrator pops before persistence -- record bytes
         # stay identical with tracing on or off.
-        record["_telemetry"] = drain_telemetry()
+        record["telemetry"] = drain_telemetry()
     return record
-
-
-@_in_payload_context
-def execute_run_group(payload: dict) -> dict:
-    """Execute a whole group of exact jobs in one worker call.
-
-    ``payload`` is ``{"jobs": [<execute_run payloads>...]}`` plus one
-    ``"context"`` for the whole group.  The
-    sweep dispatcher packs contiguous chain families into these groups
-    so a worker pays one payload round trip and one shared-memory attach
-    pass for a whole slice of the grid instead of one of each per grid
-    point.  The returned record carries
-    the member job records, each field-identical to what
-    :func:`execute_run` would have produced (``elapsed`` is the group's
-    wall clock split evenly -- per-job timing has no meaning inside a
-    shared pass).
-
-    With a cross-run query memo configured, jobs whose cell is already
-    answered never even compile their chain; only the misses are
-    queried.  The result additionally carries a ``"group"``
-    diagnostics dict -- summed size/density and the adaptive
-    ``evolution_strategy`` verdict, plus the memo hit count -- which the
-    sweep orchestrator lands in the warehouse's ``groups`` table for
-    perf forensics (deliberately *outside* the job records, whose bytes
-    stay engine- and warmth-independent).
-    """
-    from ..chain import evolution_strategy, transition_density
-
-    if LIVE.emitter is not None:
-        LIVE.emitter.job_started("group:prepare", count=len(payload["jobs"]))
-    with trace("runner.group", jobs=len(payload["jobs"])) as timer:
-        prepared = []
-        items: dict[int, tuple[CompiledChain, list]] = {}
-        order: list[int] = []
-        memo_hits = 0
-        with trace("group.prepare"):
-            for job in payload["jobs"]:
-                if LIVE.emitter is not None:
-                    LIVE.emitter.pulse()
-                spec = RunSpec.from_dict(job["spec"])
-                master_seed = int(job.get("master_seed", 0))
-                seed = derive_seed(master_seed, spec.job_key)
-                alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
-                task = make_task(spec.task, alpha.n)
-                ports = make_ports(spec.ports, spec.sizes,
-                                   derive_seed(seed, "ports"))
-                limit = _memoized_exact_limit(spec, alpha, ports)
-                if limit is not None:
-                    memo_hits += 1
-                    prepared.append((job, spec, seed, alpha, None, limit))
-                    continue
-                chain = compile_chain(alpha, ports)
-                entry = items.get(id(chain))
-                if entry is None:
-                    entry = items[id(chain)] = (chain, [])
-                    order.append(id(chain))
-                queries = entry[1]
-                prepared.append(
-                    (job, spec, seed, alpha, (id(chain), len(queries)), None)
-                )
-                queries.append(Query.limit(task))
-        if LIVE.emitter is not None:
-            LIVE.emitter.pulse("group:evolve")
-        with trace("group.evolve"):
-            answers = dict(
-                zip(order, run_group_queries([items[cid] for cid in order]))
-            )
-    elapsed_total = timer.duration
-    elapsed = elapsed_total / max(1, len(prepared))
-    with trace("group.serialize"):
-        records = [
-            _job_record(
-                job, spec, seed, alpha,
-                _exact_value(
-                    limit if handle is None else answers[handle[0]][handle[1]]
-                ),
-                elapsed,
-            )
-            for job, spec, seed, alpha, handle, limit in prepared
-        ]
-    chains = [items[cid][0] for cid in order]
-    states = sum(chain.num_states for chain in chains)
-    transitions = sum(chain.num_transitions for chain in chains)
-    group = {
-        "jobs": len(prepared),
-        "chains": len(chains),
-        "states": states,
-        "transitions": transitions,
-        "density": transition_density(states, transitions) if states else 0.0,
-        "evolution": (
-            evolution_strategy(states, transitions) if states else "memo"
-        ),
-        "memo_hits": memo_hits,
-        "elapsed": elapsed_total,
-    }
-    result = {"records": records, "group": group}
-    if LIVE.emitter is not None:
-        LIVE.emitter.job_finished(count=len(prepared))
-    if OBS.enabled:
-        OBS.metrics.inc("runner.groups")
-        OBS.metrics.inc("runner.jobs", len(prepared))
-        result["telemetry"] = drain_telemetry()
-    return result
 
 
 @_in_payload_context
@@ -330,34 +209,6 @@ def execute_experiment(payload: dict) -> dict:
 
 
 @_in_payload_context
-def execute_sample_batch(payload: dict) -> dict:
-    """Monte-Carlo-sample one substream range for the parallel estimator.
-
-    ``payload`` carries pickled ``alpha``/``task``/``ports`` objects plus
-    ``t``, the stream ``seed``, and the batch's half-open sample range
-    ``[start, stop)``.  Integer success counts over disjoint ranges of
-    one stream sum exactly to the whole-range count (the kernel's merge
-    law), so any partition of the budget across any engine reassembles
-    the same estimate.
-    """
-    start = int(payload["start"])
-    stop = int(payload["stop"])
-    estimate = sample_range(
-        payload["alpha"],
-        payload["task"],
-        int(payload["t"]),
-        payload.get("ports"),
-        stream_seed=int(payload["seed"]),
-        start=start,
-        stop=stop,
-    )
-    return {
-        "successes": estimate.successes,
-        "samples": estimate.samples,
-    }
-
-
-@_in_payload_context
 def execute_port_chunk(payload: dict) -> dict:
     """Evaluate a chunk of port-orbit representatives in a pool worker.
 
@@ -383,6 +234,4 @@ __all__ = [
     "execute_experiment",
     "execute_port_chunk",
     "execute_run",
-    "execute_run_group",
-    "execute_sample_batch",
 ]

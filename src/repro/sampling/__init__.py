@@ -9,15 +9,11 @@ Three layers (see RUNNER.md, "Monte-Carlo substreams and the merge law"):
 * :mod:`repro.sampling.estimator` -- integer ``(successes, samples)``
   cells with an associative merge law, memoized per full block in the
   cross-run :mod:`repro.results` memo.
-* :mod:`repro.sampling.allocation` -- adaptive budget allocation by
-  Wilson-interval width, plus common-random-number paired comparisons.
+* :mod:`repro.sampling.allocation` -- adaptive sampling of one cell
+  until its Wilson interval is narrow enough.
 """
 
-from .allocation import (
-    adaptive_cell_estimate,
-    allocate_budget,
-    paired_difference,
-)
+from .allocation import adaptive_cell_estimate
 from .estimator import (
     MCEstimate,
     block_token,
@@ -43,13 +39,11 @@ __all__ = [
     "METHODS",
     "MCEstimate",
     "adaptive_cell_estimate",
-    "allocate_budget",
     "block_indicators",
     "block_token",
     "cell_digest",
     "chain_draws",
     "normal_quantile",
-    "paired_difference",
     "philox_key",
     "resolve_method",
     "sample_cell",

@@ -1,5 +1,7 @@
 """Unit tests for the synchronous network simulator."""
 
+from types import MappingProxyType
+
 import pytest
 
 from repro.algorithms import (
@@ -48,6 +50,22 @@ class PerPortNode(NodeProtocol):
         return "done" if self.received else None
 
 
+class ReadOnlyPerPortNode(PerPortNode):
+    """Sends its per-port payloads as a read-only view: a ``Mapping``
+    that is not a ``dict``."""
+
+    def compose(self):
+        return MappingProxyType(super().compose())
+
+
+class FirstPortOnlyNode(PerPortNode):
+    """Addresses only port 1, leaving every other port without a
+    payload."""
+
+    def compose(self):
+        return {1: "only-port-1"}
+
+
 class TestBlackboardNetwork:
     def test_runs_until_decided(self):
         alpha = RandomnessConfiguration.independent(3)
@@ -93,6 +111,12 @@ class TestBlackboardNetwork:
         with pytest.raises(TypeError):
             network.run(max_rounds=1)
 
+    def test_read_only_mapping_payload_rejected(self):
+        alpha = RandomnessConfiguration.independent(3)
+        network = BlackboardNetwork(alpha, ReadOnlyPerPortNode)
+        with pytest.raises(TypeError, match="single payload"):
+            network.run(max_rounds=1)
+
     def test_source_count_validation(self):
         alpha = RandomnessConfiguration.independent(2)
         with pytest.raises(ValueError):
@@ -113,6 +137,36 @@ class TestCliqueNetwork:
                 sender = ports.neighbour(i, port)
                 expected_port = ports.port_to(sender, i)
                 assert inbox[port - 1] == ("to-port", expected_port)
+
+    def test_read_only_mapping_is_delivered_per_port(self):
+        alpha = RandomnessConfiguration.independent(4)
+        ports = round_robin_assignment(4)
+        plain = CliqueNetwork(alpha, ports, PerPortNode)
+        plain.run(max_rounds=1)
+        viewed = CliqueNetwork(alpha, ports, ReadOnlyPerPortNode)
+        viewed.run(max_rounds=1)
+        assert [node.received for node in viewed.nodes] == [
+            node.received for node in plain.nodes
+        ]
+
+    def test_missing_port_payload_rejected(self):
+        alpha = RandomnessConfiguration.independent(3)
+        network = CliqueNetwork(
+            alpha, round_robin_assignment(3), FirstPortOnlyNode
+        )
+        with pytest.raises(ValueError, match="composed no payload"):
+            network.run(max_rounds=1)
+
+    def test_tuple_payload_reaches_every_neighbour_whole(self):
+        # A tuple is a sequence, not a Mapping: it is broadcast as one
+        # payload, never indexed by port.
+        alpha = RandomnessConfiguration.independent(3)
+        network = CliqueNetwork(
+            alpha, round_robin_assignment(3), EchoNode
+        )
+        network.run(max_rounds=1)
+        for node in network.nodes:
+            assert node.inboxes[0] == (("echo", 0), ("echo", 0))
 
     def test_broadcast_payload(self):
         alpha = RandomnessConfiguration.independent(3)

@@ -89,6 +89,52 @@ class TestDiskCache:
         assert store.load(chain_key(other)) is None
 
 
+class TestLookupOrder:
+    """``compile_chain`` looks in the process memo, then the disk cache,
+    and compiles only when both miss."""
+
+    def _counted(self, compile):
+        reset_telemetry()
+        with use(trace=True):
+            chain = compile()
+        counters = OBS.metrics.snapshot()["counters"]
+        reset_telemetry()
+        return chain, counters
+
+    def test_memo_hit_never_reads_the_disk(self, cache_dir, monkeypatch):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 1, 2))
+        first = compile_chain(alpha)
+        monkeypatch.setattr(
+            ChainDiskCache, "load",
+            lambda self, key: pytest.fail("memo-warm chain read from disk"),
+        )
+        again, counters = self._counted(lambda: compile_chain(alpha))
+        assert again is first
+        assert counters == {"chain.compile.hit.memo": 1}
+
+    def test_disk_hit_never_compiles(self, cache_dir, monkeypatch):
+        from repro.chain import engine
+
+        alpha = RandomnessConfiguration.from_group_sizes((2, 3))
+        ports = adversarial_assignment((2, 3))
+        first = compile_chain(alpha, ports)
+        clear_memo()
+        monkeypatch.setattr(
+            engine, "_build_chain",
+            lambda key, alpha: pytest.fail("disk-warm chain recompiled"),
+        )
+        again, counters = self._counted(lambda: compile_chain(alpha, ports))
+        assert again.key == first.key
+        assert counters.get("chain.compile.hit.disk") == 1
+        assert "chain.compile.miss" not in counters
+
+    def test_cold_chain_compiles_once_and_lands_on_disk(self, cache_dir):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 3))
+        chain, counters = self._counted(lambda: compile_chain(alpha))
+        assert counters.get("chain.compile.miss") == 1
+        assert disk_cache().load(chain.key).labels == chain.labels
+
+
 class TestLRUEviction:
     def _fill(self, root, shapes):
         """Compile one chain per shape through a capless cache."""

@@ -30,7 +30,7 @@ class TestStats:
     def test_stats_lists_tables_and_memo(self, run_dir, capsys):
         assert main(["results", "stats", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert "records" in out and "groups" in out
+        assert "records" in out
         assert "memo:" in out and "entries" in out
 
     def test_missing_warehouse_is_an_error(self, tmp_path):
@@ -74,14 +74,27 @@ class TestQuery:
         assert "mean_limit_float" in out
         assert "2 rows" in out
 
-    def test_groups_table_has_forensics_columns(self, run_dir, capsys):
-        assert (
-            main(["results", "query", str(run_dir), "--table", "groups"])
-            == 0
+    def test_legacy_groups_table_stays_queryable(self, tmp_path, capsys):
+        """Warehouses written before sweeps stopped recording per-group
+        diagnostics keep a ``groups`` table; the generic store reads it."""
+        from repro.results import ResultsStore
+
+        columns = {"jobs": "int", "states": "int", "density": "float",
+                   "evolution": "str", "memo_hits": "int"}
+        ResultsStore(tmp_path / "warehouse").append_rows(
+            "groups",
+            [{"jobs": 6, "states": 52, "density": 0.25,
+              "evolution": "dense", "memo_hits": 2}],
+            columns,
         )
+        assert main(
+            ["results", "query", str(tmp_path / "warehouse"),
+             "--table", "groups"]
+        ) == 0
         out = capsys.readouterr().out
-        for column in ("states", "density", "evolution", "memo_hits"):
+        for column in columns:
             assert column in out
+        assert "dense" in out
 
     def test_bad_where_clause(self, run_dir):
         with pytest.raises(SystemExit, match="bad --where"):

@@ -14,6 +14,7 @@ from repro.chain import (
 )
 from repro.core import k_leader_election, leader_election
 from repro.models import adversarial_assignment
+from repro.obs import OBS, reset_telemetry
 from repro.randomness import RandomnessConfiguration
 from repro.context import use
 from repro.results import (
@@ -165,14 +166,16 @@ class TestWarmSweepIdentity:
         warehouse = tmp_path / "warehouse"
         run_sweep(sweep, run_dir=tmp_path / "cold", warehouse=warehouse)
         clear_memo()  # drop compiled chains: warm must win via the memo
-        outcome = run_sweep(
-            sweep, run_dir=tmp_path / "warm", warehouse=warehouse
-        )
+        reset_telemetry()
+        with use(trace=True):
+            outcome = run_sweep(
+                sweep, run_dir=tmp_path / "warm", warehouse=warehouse
+            )
+        counters = OBS.metrics.snapshot()["counters"]
+        reset_telemetry()
         # Every exact cell came from the memo, no chain was compiled.
-        assert sum(g["memo_hits"] for g in outcome.group_stats) == (
-            outcome.total
-        )
-        assert all(g["chains"] == 0 for g in outcome.group_stats)
+        assert counters.get("results.memo.hit") == outcome.total
+        assert counters.get("chain.compile.miss", 0) == 0
 
         def lines(path):
             return [

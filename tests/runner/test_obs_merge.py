@@ -38,10 +38,10 @@ def _engine_invariant(snapshot):
 
     ``runner.jobs`` counts executed jobs; the ``chain.compile.*`` family
     counts compile calls by outcome, and its *sum* equals the number of
-    compile requests regardless of how jobs were binned into workers.
-    (Per-kind splits like shm-vs-memo hits, ``chain.cache.load.*``, and
-    ``runner.groups`` legitimately differ between serial and pooled
-    runs, so they stay out of this slice.)
+    compile requests regardless of which worker ran which job.
+    (Per-kind splits like memo-vs-disk hits and ``chain.cache.load.*``
+    legitimately differ between serial and pooled runs, so they stay
+    out of this slice.)
     """
     counters = snapshot["counters"]
     return {
@@ -93,8 +93,8 @@ class TestPoolMergeDeterminism:
         # Worker-side spans crossed the process boundary and nested
         # under the sweep's execute phase.
         assert "sweep.execute" in seen
-        assert "runner.group" in seen
-        assert "group.evolve" in seen
+        assert "runner.job" in seen
+        assert "job.evolve" in seen
 
 
 class TestRecordHygiene:
@@ -140,7 +140,6 @@ class _InlineEngine:
     path (payload context, telemetry attach/fold) without pool cost."""
 
     name = "inline"
-    supports_shared_chains = False
 
     def map(self, fn, payloads):
         for payload in payloads:
@@ -188,3 +187,32 @@ class TestExperimentPathTelemetry:
                 yield from names(span.children)
 
         assert "runner.experiment" in set(names(TRACER.finished()))
+
+
+class TestRunPathTelemetry:
+    """``execute_run`` ships telemetry under the same ``"telemetry"`` key
+    as ``execute_experiment``, next to the record fields."""
+
+    def _payload(self, trace):
+        from repro.runner import SweepSpec
+
+        (spec,) = SweepSpec(shapes=((1, 2),)).expand()
+        return {"spec": spec.to_dict(), "master_seed": 0, "index": 0,
+                "context": Context(trace=trace)}
+
+    def test_execute_run_ships_telemetry_when_traced(self):
+        from repro.runner.worker import execute_run
+
+        record = execute_run(self._payload(trace=True))
+        counters = record["telemetry"]["metrics"]["counters"]
+        assert counters["runner.jobs"] == 1
+        spans = record["telemetry"]["spans"]
+        assert any(s["name"] == "runner.job" for s in spans)
+
+    def test_execute_run_stays_clean_untraced(self):
+        from repro.runner.worker import execute_run
+
+        record = execute_run(self._payload(trace=False))
+        assert set(record) == {
+            "key", "index", "spec", "seed", "gcd", "value", "elapsed",
+        }

@@ -2,48 +2,11 @@
 
 from fractions import Fraction
 
-from repro.analysis import (
-    estimate_solving_probability,
-    parallel_estimate,
-    run_all_experiments,
-)
+from repro.analysis import run_all_experiments
 from repro.analysis.worst_case_search import exhaustive_worst_case
 from repro.context import Context
-from repro.core import ConsistencyChain, leader_election
-from repro.randomness import RandomnessConfiguration
 from repro.runner import ProcessPoolEngine, SerialEngine
 from repro.runner.worker import execute_experiment
-
-
-class TestParallelEstimate:
-    def test_engine_independent(self):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
-        task = leader_election(3)
-        serial = parallel_estimate(
-            alpha, task, 3, samples=120, batches=6, seed=9
-        )
-        pooled = parallel_estimate(
-            alpha, task, 3, samples=120, batches=6, seed=9,
-            engine=ProcessPoolEngine(workers=3, chunksize=1),
-        )
-        assert serial == pooled
-
-    def test_interval_brackets_exact_value(self):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
-        task = leader_election(3)
-        exact = float(ConsistencyChain(alpha).solving_probability(task, 3))
-        estimate = parallel_estimate(alpha, task, 3, samples=4000, batches=8)
-        assert abs(estimate.probability - exact) < 0.05
-
-    def test_batching_changes_stream_but_stays_sane(self):
-        # Different batch counts give different (seeded) streams; both
-        # must remain valid estimates of the same probability.
-        alpha = RandomnessConfiguration.from_group_sizes((1, 1))
-        task = leader_election(2)
-        one = parallel_estimate(alpha, task, 4, samples=300, batches=1)
-        many = parallel_estimate(alpha, task, 4, samples=300, batches=10)
-        assert one.samples == many.samples == 300
-        assert abs(one.probability - many.probability) < 0.15
 
 
 class TestWorstCaseSearchEngine:
@@ -54,6 +17,28 @@ class TestWorstCaseSearchEngine:
         )
         assert serial == pooled
         assert isinstance(pooled[0], Fraction)
+
+    def test_callers_context_travels_in_every_chunk_payload(self):
+        from repro.context import use
+        from repro.runner.worker import execute_port_chunk
+
+        captured = []
+
+        class SpyPool(ProcessPoolEngine):
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                captured.extend((fn, payload) for payload in payloads)
+                return super().map(fn, payloads)
+
+        with use(quotient="off"):
+            pooled = exhaustive_worst_case(
+                (1, 2), engine=SpyPool(workers=2), chunk=1
+            )
+        assert pooled == exhaustive_worst_case((1, 2))
+        assert len(captured) > 1 and all(
+            fn is execute_port_chunk and payload["context"].quotient == "off"
+            for fn, payload in captured
+        )
 
     def test_invalid_chunk_rejected(self):
         import pytest

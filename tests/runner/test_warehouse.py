@@ -1,20 +1,15 @@
-"""Sweep <-> warehouse integration: memo-warm reruns, columnar resume,
-state-budget bin packing, and group forensics."""
+"""Sweep <-> warehouse integration: memo-warm reruns and columnar
+resume."""
 
 import json
 
 import pytest
 
-from repro.chain import clear_memo, compile_chain
-from repro.models import adversarial_assignment
-from repro.randomness import RandomnessConfiguration
+from repro.chain import clear_memo
+from repro.context import use
+from repro.obs import OBS, reset_telemetry
 from repro.results import ResultsStore
 from repro.runner import ProcessPoolEngine, SweepSpec, run_sweep
-from repro.runner.sweep import (
-    GROUP_STATE_CAP,
-    _family_state_weight,
-    _group_job_payloads,
-)
 
 
 @pytest.fixture
@@ -38,7 +33,7 @@ class TestWarehouseWiring:
         outcome = run_sweep(sweep, run_dir=tmp_path / "run")
         store = ResultsStore(tmp_path / "run" / "warehouse")
         assert store.total_rows("records") == outcome.total
-        assert store.total_rows("groups") == len(outcome.group_stats) > 0
+        assert "groups" not in store.tables()
 
     def test_warehouse_false_opts_out(self, tmp_path, sweep):
         run_sweep(sweep, run_dir=tmp_path / "run", warehouse=False)
@@ -64,12 +59,15 @@ class TestWarehouseWiring:
             models=("clique",),
             tasks=sweep.tasks,
         )
-        outcome = run_sweep(
-            overlap, run_dir=tmp_path / "b", warehouse=warehouse
-        )
-        assert sum(g["memo_hits"] for g in outcome.group_stats) == (
-            outcome.total
-        )
+        reset_telemetry()
+        with use(trace=True):
+            outcome = run_sweep(
+                overlap, run_dir=tmp_path / "b", warehouse=warehouse
+            )
+        counters = OBS.metrics.snapshot()["counters"]
+        reset_telemetry()
+        assert counters.get("results.memo.hit") == outcome.total
+        assert counters.get("chain.compile.miss", 0) == 0
 
     def test_warm_records_match_cold_without_pool(self, tmp_path, sweep):
         warehouse = tmp_path / "shared"
@@ -96,90 +94,10 @@ class TestWarehouseWiring:
         assert pooled.executed == pooled.total
 
 
-class TestGroupForensics:
-    def test_group_stats_cover_every_job(self, tmp_path, sweep):
-        outcome = run_sweep(sweep, run_dir=tmp_path / "run")
-        assert sum(g["jobs"] for g in outcome.group_stats) == outcome.total
-        for stats in outcome.group_stats:
-            assert stats["evolution"] in ("dense", "scatter", "memo")
-            assert stats["states"] >= 0
-            assert 0.0 <= stats["density"] <= 1.0
-
-    def test_group_stats_stay_out_of_job_records(self, tmp_path, sweep):
+class TestRecordShape:
+    def test_records_carry_only_job_fields(self, tmp_path, sweep):
         run_sweep(sweep, run_dir=tmp_path / "run")
         for record in stripped(tmp_path / "run" / "records.jsonl"):
             assert set(record) == {
                 "key", "index", "spec", "seed", "gcd", "value",
             }
-
-
-class TestStateBudgetPacking:
-    def _payloads(self, sweep):
-        jobs = sweep.expand()
-        payloads = [
-            {"spec": spec.to_dict(), "master_seed": 0, "index": i}
-            for i, spec in enumerate(jobs)
-        ]
-        return jobs, payloads
-
-    def test_bins_are_contiguous_index_ranges(self, sweep):
-        jobs, payloads = self._payloads(sweep)
-        groups = _group_job_payloads(
-            jobs, payloads, ProcessPoolEngine(workers=2)
-        )
-        assert groups is not None
-        flattened = [
-            payload["index"] for group in groups for payload in group["jobs"]
-        ]
-        assert flattened == list(range(len(jobs)))
-
-    def test_bins_respect_the_state_budget(self, sweep):
-        jobs, payloads = self._payloads(sweep)
-        groups = _group_job_payloads(
-            jobs, payloads, ProcessPoolEngine(workers=2)
-        )
-        for group in groups:
-            families = {}
-            for payload in group["jobs"]:
-                spec = jobs[payload["index"]]
-                families.setdefault(
-                    (spec.sizes, spec.model, spec.ports, spec.replicate),
-                    _family_state_weight(spec),
-                )
-            total = sum(families.values())
-            # Either the bin fits the budget or it is a single family
-            # too big to split.
-            assert total <= GROUP_STATE_CAP or len(families) == 1
-
-    def test_weight_uses_compiled_states_when_available(self):
-        shape = (2, 3)
-        spec = SweepSpec(shapes=(shape,), models=("clique",)).expand()[0]
-        estimated = _family_state_weight(spec)
-        chain = compile_chain(
-            RandomnessConfiguration.from_group_sizes(shape),
-            adversarial_assignment(shape),
-        )
-        assert _family_state_weight(spec) == chain.num_states
-        assert estimated >= chain.num_states  # Bell bound from above
-
-    def test_heavy_families_split_across_bins(self):
-        # 2 x n=7 families next to many n=2 families: job-count binning
-        # used to hand one worker both heavy chains; weight binning
-        # separates them.
-        sweep = SweepSpec(
-            shapes=((1, 6), (2, 5), (2,), (1, 1)),
-            models=("clique",),
-            tasks=("leader", "k-leader:2", "weak-sb"),
-        )
-        jobs, payloads = self._payloads(sweep)
-        groups = _group_job_payloads(
-            jobs, payloads, ProcessPoolEngine(workers=2)
-        )
-        heavy_bins = []
-        for position, group in enumerate(groups):
-            shapes = {
-                tuple(jobs[p["index"]].sizes) for p in group["jobs"]
-            }
-            if shapes & {(1, 6), (2, 5)}:
-                heavy_bins.append(position)
-        assert len(heavy_bins) >= 2  # the two heavy families split

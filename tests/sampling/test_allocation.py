@@ -1,27 +1,11 @@
-"""Adaptive allocation and common-random-numbers comparisons."""
+"""Adaptive sampling of one cell: stops by interval width or cap, and
+measures exactly what a one-shot run of the same size measures."""
 
 import pytest
 
 from repro.core import leader_election
-from repro.core.task_zoo import unique_ids
 from repro.randomness import RandomnessConfiguration
-from repro.sampling import (
-    adaptive_cell_estimate,
-    allocate_budget,
-    paired_difference,
-    sample_cell,
-)
-
-
-def _cell(sizes, task, t, *, stream_seed, **extra):
-    alpha = RandomnessConfiguration.from_group_sizes(sizes)
-    return {
-        "alpha": alpha,
-        "task": task,
-        "t": t,
-        "stream_seed": stream_seed,
-        **extra,
-    }
+from repro.sampling import adaptive_cell_estimate, sample_cell
 
 
 class TestAdaptiveCell:
@@ -67,79 +51,3 @@ class TestAdaptiveCell:
             adaptive_cell_estimate(
                 alpha, task, 3, stream_seed=0, target_width=0.0
             )
-
-
-class TestBudgetAllocation:
-    def test_spends_exactly_the_budget(self):
-        cells = [
-            _cell((1, 2), leader_election(3), 2, stream_seed=0),
-            _cell((1, 2), leader_election(3), 4, stream_seed=0),
-            _cell((1, 3), unique_ids(4), 3, stream_seed=1),
-        ]
-        estimates = allocate_budget(
-            cells, 9000, initial=1000, increment=1000
-        )
-        assert sum(e.samples for e in estimates) == 9000
-        assert all(e.samples >= 1000 for e in estimates)
-
-    def test_widest_interval_gets_the_top_ups(self):
-        # t=4 sits near certainty (narrow interval), t=1 near the middle
-        # (wide interval): the extra budget must flow to the wide cell.
-        narrow = _cell((1, 2), leader_election(3), 4, stream_seed=0)
-        wide = _cell((1, 2), leader_election(3), 1, stream_seed=0)
-        estimates = allocate_budget(
-            [narrow, wide], 6000, initial=1000, increment=1000
-        )
-        assert estimates[1].samples > estimates[0].samples
-
-    def test_deterministic(self):
-        cells = [
-            _cell((1, 2), leader_election(3), 2, stream_seed=0),
-            _cell((2, 3), leader_election(5), 3, stream_seed=7),
-        ]
-        first = allocate_budget(cells, 5000)
-        again = allocate_budget(cells, 5000)
-        assert first == again
-
-    def test_validation(self):
-        cell = _cell((1, 2), leader_election(3), 2, stream_seed=0)
-        with pytest.raises(ValueError):
-            allocate_budget([cell], 0)
-        with pytest.raises(ValueError):
-            allocate_budget([cell, cell, cell], 2, initial=1000)
-        assert allocate_budget([], 100) == []
-
-
-class TestCommonRandomNumbers:
-    def test_paired_variance_beats_independent(self):
-        # The canonical CRN comparison: the same cell at two horizons.
-        # Solvability is monotone in t over shared source words, so the
-        # trials are strongly positively coupled and pairing must cut
-        # the difference variance well below the independent-streams sum.
-        a = _cell((1, 2), leader_election(3), 4, stream_seed=0)
-        b = _cell((1, 2), leader_election(3), 2, stream_seed=0)
-        result = paired_difference(a, b, stream_seed=5, samples=4000)
-        assert result["samples"] == 4000
-        assert 0 <= result["difference"] <= 1  # monotone in t
-        assert result["paired_variance"] < result["independent_variance"]
-
-    def test_difference_matches_shared_stream_cells(self):
-        # Both cells see the same (seed, block) words, so the paired
-        # difference must equal the difference of the two cell
-        # estimates on that stream -- bit-exactly.
-        a = _cell((1, 2), leader_election(3), 4, stream_seed=0)
-        b = _cell((1, 2), leader_election(3), 2, stream_seed=0)
-        result = paired_difference(a, b, stream_seed=5, samples=3000)
-        est_a = sample_cell(
-            a["alpha"], a["task"], 4, stream_seed=5, samples=3000
-        )
-        est_b = sample_cell(
-            b["alpha"], b["task"], 2, stream_seed=5, samples=3000
-        )
-        expected = (est_a.successes - est_b.successes) / 3000
-        assert result["difference"] == pytest.approx(expected, abs=0)
-
-    def test_validation(self):
-        a = _cell((1, 2), leader_election(3), 2, stream_seed=0)
-        with pytest.raises(ValueError):
-            paired_difference(a, a, stream_seed=0, samples=1)

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import parallel_estimate
 from repro.chain import (
     ChainDiskCache,
     Query,
@@ -96,20 +95,51 @@ class TestScoping:
         with pytest.raises(ValueError):
             Context(quotient="sometimes")
 
+    def test_fields_are_the_execution_switches(self):
+        """Every field is a switch some tier reads; a new one needs a
+        consumer on both sides of the pool boundary."""
+        from dataclasses import fields
+
+        assert [field.name for field in fields(Context)] == [
+            "quotient", "trace", "chain_cache", "results_memo",
+            "heartbeat_dir", "heartbeat_interval",
+        ]
+
 
 class TestCallersContextSurvives:
-    def test_parallel_estimate_keeps_the_callers_caches(self, tmp_path):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
-        with use(
-            chain_cache=str(tmp_path / "chains"),
-            results_memo=str(tmp_path / "memo"),
-        ):
-            memo, cache = query_memo(), disk_cache()
-            parallel_estimate(
-                alpha, leader_election(3), 3, samples=40, batches=2
+    @pytest.mark.parametrize(
+        "engine",
+        [SerialEngine(), ProcessPoolEngine(workers=2)],
+        ids=["serial", "pool"],
+    )
+    def test_sweep_keeps_the_callers_caches(self, tmp_path, engine):
+        """The sweep's own chain cache and memo (under its run
+        directory) live only in its job payloads, also when the serial
+        engine runs those jobs in this process: afterwards the caller
+        reads and writes its own directories again."""
+        sweep = SweepSpec.for_total_size(3, models=("blackboard",))
+        chains, memo = tmp_path / "chains", tmp_path / "memo"
+        with use(chain_cache=str(chains), results_memo=str(memo)):
+            run_sweep(sweep, engine=engine, run_dir=tmp_path / "run")
+            assert disk_cache().root == chains
+            assert query_memo().root == memo
+
+
+    def test_pooled_worst_case_search_keeps_the_callers_caches(
+        self, tmp_path
+    ):
+        from repro.analysis import exhaustive_worst_case
+
+        chains, memo = tmp_path / "chains", tmp_path / "memo"
+        with use(chain_cache=str(chains), results_memo=str(memo)):
+            before = current()
+            pooled = exhaustive_worst_case(
+                (1, 2), engine=ProcessPoolEngine(workers=2), chunk=2
             )
-            assert query_memo() is memo
-            assert disk_cache() is cache
+            assert current() == before
+            assert disk_cache().root == chains
+            assert query_memo().root == memo
+        assert pooled == exhaustive_worst_case((1, 2))
 
 
 class TestContextCrossesThePool:
