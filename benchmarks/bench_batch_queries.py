@@ -1,22 +1,22 @@
-"""Batched query layer vs the PR 2 scalar per-query path (ISSUE 3).
+"""One query batch vs one ``run_queries`` call per query.
 
-The PR 2 engine answers one ``(task, horizon)`` question per call: under
-the float backend every ``solving_probability(task, t)`` evolves the
-state distribution from scratch (``t`` scatter-add rounds), so a sweep
-over ``Q`` tasks and ``H`` horizons pays ``Q * H`` evolutions; the exact
-backend shares its cached distributions but still runs one absorption
-sweep per limit call.  The batched query layer
-(:mod:`repro.chain.batch`) answers the whole sweep in shared passes --
-one distribution evolution to the deepest horizon (dense matrix-vector
-recurrences on small chains) plus one vectorized reverse-topological
-level sweep for all the limits at once.
+Asked one ``(task, horizon)`` question per call, the float backend
+evolves the state distribution from scratch for every
+``Query.probability(task, t)`` (``t`` rounds), so a sweep over ``Q``
+tasks and ``H`` horizons pays ``Q * H`` evolutions; the exact backend
+shares its cached distributions but still runs one absorption sweep per
+limit call.  Batched (:mod:`repro.chain.batch`), the whole sweep shares
+its passes -- one distribution evolution to the deepest horizon (dense
+matrix-vector recurrences on small chains) plus one vectorized
+reverse-topological level sweep for all the limits at once.
 
 This benchmark times the canonical multi-task, multi-horizon sweep both
 ways and asserts
 
-* the batched float path beats the scalar float path by at least the
-  acceptance floor (5x; far more in practice), and
-* the batched exact results are byte-identical to the scalar exact ones.
+* the batched float path beats the per-query float path by at least
+  the acceptance floor (5x), and
+* the batched exact results are byte-identical to the per-query exact
+  ones.
 
 Runs standalone (``python benchmarks/bench_batch_queries.py``) or under
 pytest-benchmark (``pytest benchmarks/ -o python_files='bench_*.py'
@@ -41,8 +41,8 @@ from repro.randomness import RandomnessConfiguration
 #: The sweep: one configuration, several tasks, several horizons, plus
 #: per-task probability series and exact limits -- the access pattern of
 #: the theorem experiments and the phase-diagram sweep.  Both paths run
-#: against the same warm compiled chain: PR 2 already pays compilation
-#: once process-wide, so what this benchmark isolates is purely the
+#: against the same warm compiled chain (compilation is paid once
+#: process-wide), so what this benchmark isolates is purely the
 #: per-query evaluation the batch layer collapses into shared passes.
 SHAPE = (1, 1, 1, 2, 2)
 N = sum(SHAPE)
@@ -56,7 +56,7 @@ TASKS = (
     ("deputy", leader_and_deputy(N)),
     ("weak-sb", weak_symmetry_breaking(N)),
 )
-#: Acceptance floor from the ISSUE; CI smoke runs on noisy shared
+#: Acceptance floor; CI smoke runs on noisy shared
 #: runners relax it via BATCH_BENCH_MIN_SPEEDUP (exact byte-identity is
 #: asserted regardless).
 REQUIRED_SPEEDUP = float(os.environ.get("BATCH_BENCH_MIN_SPEEDUP", "5.0"))
@@ -72,22 +72,13 @@ def _queries() -> list[Query]:
     return queries
 
 
-def scalar_sweep(backend: str) -> list:
-    """The PR 2 pattern: one scalar engine call per query."""
+def per_query_sweep(backend: str) -> list:
+    """The pattern batching exists to beat: one call per query."""
     chain = compile_chain(RandomnessConfiguration.from_group_sizes(SHAPE))
-    results = []
-    for _, task in TASKS:
-        for t in HORIZONS:
-            results.append(
-                chain.solving_probability(task, t, backend=backend)
-            )
-        results.append(
-            chain.solving_probability_series(task, T_MAX, backend=backend)
-        )
-        results.append(
-            chain.limit_solving_probability(task, backend=backend)
-        )
-    return results
+    return [
+        run_queries(chain, [query], backend=backend)[0]
+        for query in _queries()
+    ]
 
 
 def batched_sweep(backend: str) -> list:
@@ -96,8 +87,8 @@ def batched_sweep(backend: str) -> list:
     return run_queries(chain, _queries(), backend=backend)
 
 
-def _float_scalar() -> list:
-    return scalar_sweep("float")
+def _float_per_query() -> list:
+    return per_query_sweep("float")
 
 
 def _float_batched() -> list:
@@ -117,30 +108,30 @@ def _best_of(fn, rounds: int = 5) -> tuple[float, list]:
 def measure() -> dict:
     """Timings plus the byte-identity and speedup verdicts."""
     # Warm the shared chain (and its COO/dense caches) for both paths.
-    _float_scalar()
+    _float_per_query()
     _float_batched()
-    scalar_seconds, scalar_float = _best_of(_float_scalar)
+    single_seconds, single_float = _best_of(_float_per_query)
     batch_seconds, batch_float = _best_of(_float_batched)
     # Exact byte-identity: same values AND same types, query for query.
-    scalar_exact = scalar_sweep("exact")
+    single_exact = per_query_sweep("exact")
     batch_exact = batched_sweep("exact")
-    assert batch_exact == scalar_exact, (
-        "batched exact results must be byte-identical to scalar"
+    assert batch_exact == single_exact, (
+        "batched exact results must be byte-identical to per-query ones"
     )
-    for got, want in zip(batch_exact, scalar_exact):
+    for got, want in zip(batch_exact, single_exact):
         inner_got = got if isinstance(got, list) else [got]
         inner_want = want if isinstance(want, list) else [want]
         assert [type(x) for x in inner_got] == [type(x) for x in inner_want]
     # Float agreement to 1e-12 between the paths.
-    for got, want in zip(batch_float, scalar_float):
+    for got, want in zip(batch_float, single_float):
         inner_got = got if isinstance(got, list) else [got]
         inner_want = want if isinstance(want, list) else [want]
         for g, w in zip(inner_got, inner_want):
             assert abs(g - w) < 1e-12, (g, w)
     return {
-        "scalar_float_seconds": scalar_seconds,
+        "per_query_float_seconds": single_seconds,
         "batched_float_seconds": batch_seconds,
-        "speedup_float": scalar_seconds / batch_seconds,
+        "speedup_float": single_seconds / batch_seconds,
         "queries": len(_queries()),
     }
 
@@ -148,9 +139,9 @@ def measure() -> dict:
 # ----------------------------------------------------------------------
 # pytest-benchmark entry points
 # ----------------------------------------------------------------------
-def bench_batch_scalar_float_baseline(benchmark):
-    """Per-query scalar float path (the PR 2 pattern)."""
-    values = benchmark(_float_scalar)
+def bench_batch_per_query_float_baseline(benchmark):
+    """One ``run_queries`` call per query, float backend."""
+    values = benchmark(_float_per_query)
     benchmark.extra_info["queries"] = len(_queries())
     assert len(values) == len(_queries())
 
@@ -178,8 +169,8 @@ def main() -> int:
         f"{report['queries']} queries"
     )
     print(
-        f"  scalar float (per-query) : "
-        f"{report['scalar_float_seconds'] * 1e3:8.2f} ms"
+        f"  float, one call per query: "
+        f"{report['per_query_float_seconds'] * 1e3:8.2f} ms"
     )
     print(
         f"  batched float (QueryPlan): "
@@ -188,7 +179,7 @@ def main() -> int:
     )
     ok = report["speedup_float"] >= REQUIRED_SPEEDUP
     print(
-        f"exact results byte-identical to scalar: yes; "
+        f"exact results byte-identical to per-query: yes; "
         f">= {REQUIRED_SPEEDUP:.0f}x float speedup required: "
         f"{'PASS' if ok else 'FAIL'}"
     )

@@ -4,7 +4,8 @@ The seed implementation re-explored the reachable partition space from
 scratch at every call site -- per task, per sweep point, per worker --
 over tuple-of-frozenset states.  The compiled engine explores once per
 ``(alpha, ports)`` into interned integer states and answers every
-further query as a pass over sparse transition arrays.
+further query (through :func:`~repro.chain.run_queries`) as a pass
+over sparse transition arrays.
 
 This benchmark times the canonical multi-task sweep (one configuration
 queried for several tasks: exact series + exact limit each) on
@@ -29,7 +30,7 @@ import os
 import time
 from fractions import Fraction
 
-from repro.chain import clear_memo, compile_chain
+from repro.chain import Query, clear_memo, compile_chain, run_queries
 from repro.core import k_leader_election, leader_election, unique_ids
 from repro.core.markov import canonical_state, single_block_state
 from repro.randomness import RandomnessConfiguration
@@ -163,8 +164,9 @@ def compiled_sweep(*, cold: bool) -> list:
     chain = compile_chain(alpha)
     results = []
     for _, task in TASKS:
-        results.append(chain.solving_probability_series(task, T_MAX))
-        results.append(chain.limit_solving_probability(task))
+        results.extend(
+            run_queries(chain, [Query.series(task, T_MAX), Query.limit(task)])
+        )
     return results
 
 

@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from repro import RandomnessConfiguration, leader_election
-from repro.chain import clear_memo, compile_chain
+from repro.chain import Query, clear_memo, compile_chain, run_queries
 from repro.core import (
     ConsistencyChain,
     expected_solving_time,
@@ -68,8 +68,8 @@ def main() -> None:
     print(f"(exact 8-round series query: {query_seconds * 1e3:.2f} ms)")
 
     started = time.perf_counter()
-    float_series = compiled.solving_probability_series(
-        task, 8, backend="float"
+    (float_series,) = run_queries(
+        compiled, [Query.series(task, 8)], backend="float"
     )
     float_seconds = time.perf_counter() - started
     print(

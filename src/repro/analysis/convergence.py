@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from ..core.leader_election import leader_election
-from ..chain import CompiledChain, compile_chain
+from ..chain import CompiledChain, Query, compile_chain, run_queries
+from ..core.markov import ConsistencyChain
 from ..models.ports import adversarial_assignment
 from ..randomness.configuration import RandomnessConfiguration
 from .result import ExperimentResult
@@ -53,7 +54,7 @@ def fitted_decay_rate(
 
 
 def exact_tail_ratio(
-    chain: "CompiledChain | object",
+    chain: "CompiledChain | ConsistencyChain",
     task,
     *,
     horizon: int = 24,
@@ -63,7 +64,10 @@ def exact_tail_ratio(
     ``None`` when the failure probability is already 0 (solved surely in
     finite time) or identically 1 (never solvable).
     """
-    series = chain.solving_probability_series(task, horizon)
+    if isinstance(chain, ConsistencyChain):
+        series = chain.solving_probability_series(task, horizon)
+    else:
+        series = run_queries(chain, [Query.series(task, horizon)])[0]
     prev_fail = 1 - series[-2]
     fail = 1 - series[-1]
     if prev_fail == 0 or series[-1] == 0:
@@ -79,7 +83,7 @@ def convergence_rates(horizon: int = 20) -> ExperimentResult:
         alpha = RandomnessConfiguration.from_group_sizes(sizes)
         task = leader_election(alpha.n)
         chain = compile_chain(alpha)
-        series = chain.solving_probability_series(task, horizon)
+        series = run_queries(chain, [Query.series(task, horizon)])[0]
         fit = fitted_decay_rate(series, skip=horizon // 2)
         ratio = exact_tail_ratio(chain, task, horizon=horizon)
         assert ratio is not None
@@ -108,7 +112,7 @@ def convergence_rates(horizon: int = 20) -> ExperimentResult:
         alpha = RandomnessConfiguration.from_group_sizes(sizes)
         task = leader_election(alpha.n)
         chain = compile_chain(alpha, adversarial_assignment(sizes))
-        series = chain.solving_probability_series(task, horizon)
+        series = run_queries(chain, [Query.series(task, horizon)])[0]
         ratio = exact_tail_ratio(chain, task, horizon=horizon)
         if ratio is None:
             rows.append(("clique (adv)", sizes, "-", "exact 0 tail", "-", "ok"))

@@ -1,22 +1,23 @@
-"""Compiled consistency-chain engine (interning, compilation, backends).
+"""Compiled consistency-chain engine (interning, compilation, queries).
 
 The package-level API:
 
 * :func:`compile_chain` -- compile (or fetch memoized/cached) the chain
-  of one ``(alpha, ports)`` configuration;
-* :class:`CompiledChain` -- interned states, sparse integer transitions,
-  and every query of the seed :class:`~repro.core.markov.ConsistencyChain`
-  under both an exact ``Fraction`` backend and a numpy ``float64``
-  backend (``backend="exact" | "float"``);
+  of one ``(alpha, ports)`` configuration into a :class:`CompiledChain`
+  (interned states, sparse integer transitions);
+* :func:`run_queries` -- the one way a compiled chain answers a
+  question: a list of :class:`Query` objects (probability, series,
+  limit, expected time, Definition 3.3 verdict) answered in shared
+  topologically-ordered passes under an exact ``Fraction`` backend or
+  a numpy ``float64`` backend (``backend="exact" | "float"``), see
+  :mod:`repro.chain.batch`; :func:`run_group_queries` maps it over
+  many chains;
 * :func:`disk_cache` -- persist compilations across worker processes
-  and runs, in the active context's ``chain_cache`` directory;
-* :func:`run_queries` / :class:`QueryBatch` -- answer whole sets of
-  ``(task, horizon, quantity)`` questions against one chain in shared
-  topologically-ordered passes (:mod:`repro.chain.batch`), and
-  :func:`run_group_queries` -- the same for many chains in one call.
+  and runs, in the active context's ``chain_cache`` directory.
 
-``repro.core.markov`` keeps its historical API as a thin facade over
-this engine; see ``CHAIN.md`` for the design.
+``repro.core.markov`` keeps its historical API as a thin facade whose
+every query is one :func:`run_queries` call; see ``CHAIN.md`` for the
+design.
 """
 
 from .backends import (
@@ -28,7 +29,6 @@ from .backends import (
 from .batch import (
     QUANTITIES,
     Query,
-    QueryBatch,
     QueryPlan,
     run_queries,
 )
@@ -89,7 +89,6 @@ __all__ = [
     "QUANTITIES",
     "QUOTIENT_MODES",
     "Query",
-    "QueryBatch",
     "QueryPlan",
     "QuotientChain",
     "StateTable",

@@ -1,16 +1,17 @@
 """Dual numerical backends for compiled-chain queries.
 
-Every query on a :class:`~repro.chain.engine.CompiledChain` is a pass
-over the same sparse integer transition structure; what varies is the
-arithmetic:
+Every query :func:`~repro.chain.batch.run_queries` answers on a
+:class:`~repro.chain.engine.CompiledChain` is a pass over the same
+sparse integer transition structure; what varies is the arithmetic:
 
 * ``exact`` -- ``fractions.Fraction`` throughout.  Transition weights are
   ``count / 2^(k-1)`` with integer counts, so every probability is the
   exact rational the seed implementation produced (sums of Fractions are
   order-independent, hence byte-identical results).
 * ``float`` -- numpy ``float64``.  Distributions are dense vectors and a
-  round is one scatter-add over the COO arrays; absorption and hitting
-  times are one reverse-topological pass over ``float64``.  Within
+  round is one dense matrix-vector product or one scatter-add over the
+  COO arrays; absorption and hitting times are one reverse-topological
+  pass over ``float64``, for a whole batch of task masks at once.  Within
   ~1e-12 of exact for the state-space sizes the engine accepts, and far
   cheaper for long horizons or wide sweeps.
 
@@ -61,10 +62,8 @@ def evolution_strategy(num_states: int, nnz: int) -> str:
     outlive the query), but below the cap the decision follows
     ``nnz / states^2`` -- dense when the structure is dense enough for
     the matvec's fused arithmetic to beat the scatter-add's indexing,
-    scatter otherwise.  :class:`~repro.chain.batch.QueryBatch` exposes
-    the verdict in its ``repr`` for debuggability.  The two strategies
-    evolve the same distribution, so the verdict only moves wall-clock,
-    never results.
+    scatter otherwise.  The two strategies evolve the same distribution,
+    so the verdict only moves wall-clock, never results.
     """
     from .engine import DENSE_STATE_LIMIT
 
@@ -106,16 +105,6 @@ def mass_exact(dist: dict[int, Fraction], mask: Sequence[bool]) -> Fraction:
     return sum(
         (prob for sid, prob in dist.items() if mask[sid]), Fraction(0)
     )
-
-
-def distribution_exact(chain: "CompiledChain", t: int) -> dict[int, Fraction]:
-    """Exact state distribution after ``t`` rounds (sparse, by state id).
-
-    Distributions are task-independent, so they are cached on the chain:
-    a sweep that queries one configuration for many tasks pays for the
-    Fraction stepping exactly once.
-    """
-    return chain.cached_distribution_exact(t)
 
 
 def series_exact(
@@ -204,35 +193,6 @@ def expected_exact(
 # ----------------------------------------------------------------------
 # Float (numpy) kernels
 # ----------------------------------------------------------------------
-def distribution_float(chain: "CompiledChain", t: int) -> np.ndarray:
-    """Dense ``float64`` state distribution after ``t`` rounds."""
-    src, dst, weight = chain.coo()
-    dist = np.zeros(chain.num_states)
-    dist[chain.start] = 1.0
-    for _ in range(t):
-        nxt = np.zeros(chain.num_states)
-        np.add.at(nxt, dst, dist[src] * weight)
-        dist = nxt
-    return dist
-
-
-def series_float(
-    chain: "CompiledChain", mask: Sequence[bool], t_max: int
-) -> list[float]:
-    """Float solving-probability series via dense scatter-add rounds."""
-    src, dst, weight = chain.coo()
-    mask_array = np.asarray(mask, dtype=bool)
-    dist = np.zeros(chain.num_states)
-    dist[chain.start] = 1.0
-    series: list[float] = []
-    for _ in range(t_max):
-        nxt = np.zeros(chain.num_states)
-        np.add.at(nxt, dst, dist[src] * weight)
-        dist = nxt
-        series.append(float(dist[mask_array].sum()))
-    return series
-
-
 def _self_loop_weights(chain: "CompiledChain") -> np.ndarray:
     """Per-state self-loop weight as float64 (exact: powers of two)."""
     src, dst, weight = chain.coo()
@@ -261,7 +221,7 @@ def _reverse_level_sweep(
     (``P(s->s) = 1``) take ``absorbing_value``.  Absorption uses
     ``(init=0, masked=1, absorbing=0)``; expected hitting time uses
     ``(init=1, masked=0, absorbing=inf)``, where ``inf`` propagates
-    through the recurrence exactly like the scalar kernel's ``None``
+    through the recurrence exactly like :func:`expected_exact`'s ``None``
     (every stored edge weight is positive, so ``0 * inf`` never arises).
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=bool))
@@ -312,14 +272,6 @@ def absorption_float_matrix(
     )
 
 
-def absorption_float(
-    chain: "CompiledChain", mask: Sequence[bool]
-) -> np.ndarray:
-    """Float analogue of :func:`absorption_exact` (same traversal,
-    vectorized level passes instead of a per-state python loop)."""
-    return absorption_float_matrix(chain, np.asarray([mask], dtype=bool))[0]
-
-
 def expected_float_matrix(
     chain: "CompiledChain", masks: np.ndarray
 ) -> np.ndarray:
@@ -337,14 +289,6 @@ def expected_float_matrix(
     )
 
 
-def expected_float(
-    chain: "CompiledChain", mask: Sequence[bool]
-) -> list[float | None]:
-    """Float analogue of :func:`expected_exact` (vectorized sweep)."""
-    row = expected_float_matrix(chain, np.asarray([mask], dtype=bool))[0]
-    return [None if np.isinf(value) else float(value) for value in row]
-
-
 def masses_float_over_time(
     chain: "CompiledChain",
     masks: np.ndarray,
@@ -355,8 +299,8 @@ def masses_float_over_time(
     One evolution to ``max(times)`` shared by every ``(mask, t)`` pair:
     ``masks`` is ``(Q, S)`` boolean and the result maps each requested
     ``t`` to the ``(Q,)`` vector of per-mask masses.  Dense-enough
-    chains step with a dense matrix-vector product; sparse ones with the
-    same scatter-add :func:`distribution_float` uses (the verdict is
+    chains step with a dense matrix-vector product; sparse ones with one
+    scatter-add over the COO arrays per round (the verdict is
     :func:`evolution_strategy`).
     """
     wanted = sorted(set(int(t) for t in times))
@@ -393,18 +337,13 @@ __all__ = [
     "DENSE_ALWAYS_STATES",
     "DENSE_DENSITY_FLOOR",
     "absorption_exact",
-    "absorption_float",
     "absorption_float_matrix",
-    "distribution_exact",
-    "distribution_float",
     "evolution_strategy",
     "expected_exact",
-    "expected_float",
     "expected_float_matrix",
     "mass_exact",
     "masses_float_over_time",
     "series_exact",
-    "series_float",
     "step_exact",
     "transition_density",
     "validate_backend",

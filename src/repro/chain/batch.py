@@ -1,28 +1,20 @@
-"""Batched query planning and execution over one compiled chain.
+"""Query planning and execution over one compiled chain.
 
-Every caller of the compiled engine used to ask one ``(task, horizon)``
-question at a time through the scalar methods on
-:class:`~repro.chain.engine.CompiledChain` -- a theorem sweep that wants
-four tasks at ten horizons paid for forty separate distribution
-evolutions under the float backend, and the exact backend re-ran its
-absorption sweep per call.  This module turns those call sites into
-*batches*: a set of :class:`Query` objects (``quantity``, ``task``,
-optional ``horizon``) against one chain, answered together:
+:func:`run_queries` is the one route from a compiled chain to a number:
+every ``Pr[S(t) | alpha]``, series, limit, expected solving time and
+Definition 3.3 verdict is a :class:`Query` (``quantity``, ``task``,
+optional ``horizon``) answered by it.  It serves the query memo's hits
+and runs one :class:`QueryPlan` over the misses, answered together:
 
-* **float** -- one distribution evolution to the batch's deepest horizon
+* **exact** -- the chain's cached task-independent distributions are
+  shared across all probability/series queries, and each distinct task
+  mask pays for at most one absorption/expected sweep per plan.
+* **float** -- one distribution evolution to the plan's deepest horizon
   (dense matrix-vector recurrence on small chains, shared scatter-adds
   otherwise) answers every probability/series query; one vectorized
   reverse-topological level sweep answers every limit (and one more
   every expected-time) across all masks at once
   (:func:`~repro.chain.backends.absorption_float_matrix`).
-* **exact** -- the chain's cached task-independent distributions are
-  shared across all probability/series queries, and each distinct task
-  mask pays for at most one absorption/expected sweep per batch.  The
-  exact kernels are the very ones the scalar path uses, so batched
-  exact results are byte-identical to scalar ones by construction.
-
-:func:`run_queries` is the front door consumers use: it answers the
-query memo's hits and runs one :class:`QueryPlan` over the misses.
 """
 
 from __future__ import annotations
@@ -149,22 +141,6 @@ class QueryPlan:
     def __len__(self) -> int:
         return len(self.queries)
 
-    @property
-    def evolution(self) -> str:
-        """The adaptive dense-vs-scatter verdict for this chain's
-        distribution passes (see :func:`~repro.chain.backends.evolution_strategy`)."""
-        from .backends import evolution_strategy
-
-        return evolution_strategy(
-            self.chain.num_states, self.chain.num_transitions
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"QueryPlan(queries={len(self.queries)}, "
-            f"masks={len(self._masks)}, evolution={self.evolution})"
-        )
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -288,58 +264,6 @@ def _assert_zero_one(chain, limit: Fraction) -> bool:
     return limit == 1
 
 
-class QueryBatch:
-    """Builder: accumulate queries, run once, read results by handle.
-
-    ::
-
-        batch = QueryBatch(chain)
-        s = batch.series(task, t_max)
-        l = batch.limit(task)
-        results = batch.run()
-        series, limit = results[s], results[l]
-    """
-
-    def __init__(self, chain):
-        self.chain = chain
-        self._queries: list[Query] = []
-
-    def add(self, query: Query) -> int:
-        """Append a query; the returned handle indexes ``run()``'s list."""
-        self._queries.append(query)
-        return len(self._queries) - 1
-
-    def probability(self, task, t: int) -> int:
-        return self.add(Query.probability(task, t))
-
-    def series(self, task, t_max: int) -> int:
-        return self.add(Query.series(task, t_max))
-
-    def limit(self, task) -> int:
-        return self.add(Query.limit(task))
-
-    def expected_time(self, task) -> int:
-        return self.add(Query.expected_time(task))
-
-    def solvable(self, task) -> int:
-        return self.add(Query.solvable(task))
-
-    def __len__(self) -> int:
-        return len(self._queries)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        from .backends import evolution_strategy
-
-        return (
-            f"QueryBatch(queries={len(self._queries)}, "
-            f"evolution={evolution_strategy(self.chain.num_states, self.chain.num_transitions)})"
-        )
-
-    def run(self, *, backend: str = "exact") -> list:
-        """Execute every query, in handle order."""
-        return run_queries(self.chain, self._queries, backend=backend)
-
-
 def memoized_answers(chain, queries: Sequence[Query], backend: str):
     """Split ``queries`` into memo hits and misses for one chain.
 
@@ -417,7 +341,6 @@ def run_queries(
             OBS.metrics.inc("chain.batch.queries", len(subset))
             OBS.metrics.observe("chain.batch.plan_size", len(subset))
             OBS.metrics.observe("chain.batch.states", chain.num_states)
-            OBS.metrics.inc(f"chain.batch.evolution.{plan.evolution}")
             with trace(
                 "chain.batch.execute",
                 queries=len(subset),
@@ -435,7 +358,6 @@ def run_queries(
 __all__ = [
     "QUANTITIES",
     "Query",
-    "QueryBatch",
     "QueryPlan",
     "memoized_answers",
     "record_answers",

@@ -33,19 +33,7 @@ import numpy as np
 
 from ..obs import OBS, trace
 from ..randomness.configuration import RandomnessConfiguration
-from .backends import (
-    absorption_exact,
-    absorption_float,
-    distribution_exact,
-    distribution_float,
-    expected_exact,
-    expected_float,
-    mass_exact,
-    series_exact,
-    series_float,
-    step_exact,
-    validate_backend,
-)
+from .backends import step_exact
 from .interning import (
     LabelVector,
     StateTable,
@@ -186,8 +174,9 @@ class CompiledChain:
     States are dense integer ids, topologically sorted by block count
     (state 0 is the single-block initial state); transitions are stored
     per state as ``(dst, count)`` pairs with ``count`` out of
-    :attr:`denom` enumerated source-bit vectors.  All queries accept a
-    ``backend`` argument: ``"exact"`` (Fraction) or ``"float"`` (numpy).
+    :attr:`denom` enumerated source-bit vectors.  The chain answers no
+    questions itself: every query is a :class:`~repro.chain.batch.Query`
+    passed to :func:`~repro.chain.batch.run_queries`.
     """
 
     #: Process-wide cap on the per-chain exact-distribution cache (see
@@ -336,7 +325,7 @@ class CompiledChain:
 
         Task-independent and therefore shared by every query against
         this chain; callers must treat the returned dict as read-only
-        (the public :meth:`state_distribution` hands out copies).
+        (the facade's ``state_distribution`` hands out copies).
 
         The cache holds at most :attr:`distribution_cache_cap` entries
         (see :func:`set_distribution_cache_cap`): deeper horizons step
@@ -440,101 +429,6 @@ class CompiledChain:
         except TypeError:  # non-weakrefable task objects stay content-keyed
             pass
         return cached
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def state_distribution(self, t: int, *, backend: str = "exact"):
-        """Distribution over state ids after ``t`` rounds."""
-        if t < 0:
-            raise ValueError("need t >= 0")
-        if validate_backend(backend) == "exact":
-            return dict(distribution_exact(self, t))
-        return distribution_float(self, t)
-
-    def solving_probability(self, task, t: int, *, backend: str = "exact"):
-        """``Pr[S(t) | alpha]`` for a symmetric task."""
-        if t < 0:
-            raise ValueError("need t >= 0")
-        mask = self.solvable_mask(task)
-        if validate_backend(backend) == "exact":
-            return mass_exact(distribution_exact(self, t), mask)
-        dist = distribution_float(self, t)
-        return float(dist[np.asarray(mask, dtype=bool)].sum())
-
-    def solving_probability_series(
-        self, task, t_max: int, *, backend: str = "exact"
-    ):
-        """``[Pr[S(1)], ..., Pr[S(t_max)]]`` sharing work across times."""
-        mask = self.solvable_mask(task)
-        if validate_backend(backend) == "exact":
-            return series_exact(self, mask, t_max)
-        return series_float(self, mask, t_max)
-
-    def absorption_probabilities(self, task, *, backend: str = "exact"):
-        """Per-state probability of ever solving (indexed by state id)."""
-        mask = self.solvable_mask(task)
-        if validate_backend(backend) == "exact":
-            return absorption_exact(self, mask)
-        return absorption_float(self, mask)
-
-    def limit_solving_probability(self, task, *, backend: str = "exact"):
-        """Exact (or float) ``lim_t Pr[S(t) | alpha]``."""
-        return self.absorption_probabilities(task, backend=backend)[
-            self.start
-        ]
-
-    def eventually_solvable(self, task) -> bool:
-        """Definition 3.3 decided exactly; asserts the zero-one law."""
-        limit = self.limit_solving_probability(task)
-        if limit not in (Fraction(0), Fraction(1)):
-            raise AssertionError(
-                f"zero-one law violated: limit {limit} for chain {self.key!r}"
-            )
-        return limit == 1
-
-    def expected_times(self, task, *, backend: str = "exact"):
-        """Per-state expected rounds to first solve (``None`` = infinite)."""
-        mask = self.solvable_mask(task)
-        if validate_backend(backend) == "exact":
-            return expected_exact(self, mask)
-        return expected_float(self, mask)
-
-    def expected_solving_time(self, task, *, backend: str = "exact"):
-        """Expected rounds until the partition first solves ``task``.
-
-        ``None`` when the task is not solved almost surely from the
-        initial state (the expectation is infinite).
-        """
-        if backend == "exact":
-            if self.limit_solving_probability(task) != 1:
-                return None
-        return self.expected_times(task, backend=backend)[self.start]
-
-    def solving_time_quantile(
-        self, task, q, *, t_cap: int = 512, backend: str = "exact"
-    ) -> int | None:
-        """Smallest ``t`` with ``Pr[S(t)] >= q`` (None if not by cap)."""
-        if not 0 < float(q) <= 1:
-            raise ValueError("quantile must be in (0, 1]")
-        mask = self.solvable_mask(task)
-        if validate_backend(backend) == "exact":
-            for t in range(1, t_cap + 1):
-                dist = self.cached_distribution_exact(t)
-                if mass_exact(dist, mask) >= q:
-                    return t
-            return None
-        src, dst, weight = self.coo()
-        mask_array = np.asarray(mask, dtype=bool)
-        dist = np.zeros(self.num_states)
-        dist[self.start] = 1.0
-        for t in range(1, t_cap + 1):
-            nxt = np.zeros(self.num_states)
-            np.add.at(nxt, dst, dist[src] * weight)
-            dist = nxt
-            if float(dist[mask_array].sum()) >= float(q):
-                return t
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

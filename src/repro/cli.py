@@ -1427,12 +1427,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-samples", type=int, default=64000)
     p.add_argument(
         "--method",
-        choices=("auto", "bits", "chain", "scalar"),
+        choices=("auto", "bits", "scalar"),
         default="auto",
         help=(
-            "batch solver: bit-level knowledge partitions (auto/bits), "
-            "compiled-chain trajectories (chain), or the per-trajectory "
-            "oracle loop (scalar)"
+            "batch solver: bit-level knowledge partitions (auto/bits) "
+            "or the per-trajectory oracle loop (scalar)"
         ),
     )
     _add_warehouse_args(p)

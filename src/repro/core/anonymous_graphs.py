@@ -118,7 +118,7 @@ def randomized_worst_case_solvable(
     Uses the exact chain limit per labeling; only for small graphs (the
     labeling count is capped at ``limit``).
     """
-    from ..chain import compile_chain
+    from ..chain import Query, compile_chain, run_queries
 
     if alpha.n != base.n:
         raise ValueError("configuration and topology sizes differ")
@@ -131,7 +131,7 @@ def randomized_worst_case_solvable(
             include_back_ports=include_back_ports,
             use_memo=False,
         )
-        if not chain.eventually_solvable(task):
+        if not run_queries(chain, [Query.solvable(task)])[0]:
             return False
     return True
 

@@ -21,7 +21,9 @@ shared: independent pairs solve in expected 2 rounds, while configuration
 knowledge is unique.
 
 Every function accepts either the :class:`ConsistencyChain` facade or a
-raw :class:`~repro.chain.engine.CompiledChain`.
+raw :class:`~repro.chain.engine.CompiledChain`, and asks its questions
+through :func:`~repro.chain.run_queries`; only the per-state diagnostic
+table reads the exact hitting-time kernel directly.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..chain import CompiledChain, Query, run_queries
+from ..chain.backends import expected_exact
 from .markov import ConsistencyChain
 from .tasks import SymmetryBreakingTask
 
@@ -62,7 +65,7 @@ def expected_time_table(
     States from which the task is unreachable map to ``None``.
     """
     compiled = _compiled(chain)
-    times = compiled.expected_times(task)
+    times = expected_exact(compiled, compiled.solvable_mask(task))
     return {
         compiled.partition_of(sid): times[sid]
         for sid in range(compiled.num_states)
@@ -97,8 +100,18 @@ def solving_time_quantile(
     *,
     t_cap: int = 512,
 ) -> int | None:
-    """Smallest ``t`` with ``Pr[S(t)] >= q`` (None if not reached by cap)."""
-    return _compiled(chain).solving_time_quantile(task, q, t_cap=t_cap)
+    """Smallest ``t`` with ``Pr[S(t)] >= q`` (None if not reached by cap).
+
+    One probability query per horizon, each served from the chain's
+    cached distributions, so the scan stops at the answer.
+    """
+    if not 0 < float(q) <= 1:
+        raise ValueError("quantile must be in (0, 1]")
+    compiled = _compiled(chain)
+    for t in range(1, t_cap + 1):
+        if run_queries(compiled, [Query.probability(task, t)])[0] >= q:
+            return t
+    return None
 
 
 __all__ = [

@@ -6,11 +6,15 @@ probability given a configuration ``alpha`` is the number of solving
 
 * :func:`solving_probability_enumerated` -- literal enumeration of the
   ``2^{tk}`` source realizations; the ground truth for everything else.
-* :class:`~repro.core.markov.ConsistencyChain` -- exact via the partition
-  Markov chain (polynomial in the number of reachable partitions rather
-  than exponential in ``tk``); see :mod:`repro.core.markov`.
-* :func:`solving_probability_sampled` -- Monte-Carlo estimate, for
-  parameters where exactness is out of reach.
+* :func:`solving_probability_exact` (and the
+  :class:`~repro.core.markov.ConsistencyChain` facade) -- exact via the
+  compiled partition Markov chain and :func:`~repro.chain.run_queries`
+  (polynomial in the number of reachable partitions rather than
+  exponential in ``tk``); see :mod:`repro.chain`.
+* :func:`solving_probability_sampled` -- Monte-Carlo estimate from the
+  bit-level substream kernel, for parameters where exactness is out of
+  reach (``method="bits"``, or ``"scalar"`` for the per-trajectory
+  oracle loop).
 
 The test suite cross-validates all three.
 """
@@ -152,8 +156,8 @@ def solving_probability_sampled(
     pure function of its arguments, independent of execution order, and
     extends bit-exactly under a larger budget.  ``seed=None`` draws a
     fresh stream.  ``method`` selects the batch solver (``"bits"``
-    knowledge-partition passes, ``"chain"`` compiled-chain trajectories,
-    ``"scalar"`` the legacy per-trajectory oracle loop).
+    knowledge-partition passes, ``"scalar"`` the legacy per-trajectory
+    oracle loop).
     """
     if samples < 1:
         raise ValueError("need samples >= 1")

@@ -13,10 +13,12 @@ sweep fast; this package is the storage/serving tier that makes the
   phase diagrams read aggregates without re-parsing JSONL;
 * :mod:`repro.results.memo` -- a content-addressed cross-run memo keyed
   on (chain structural digest, task, horizon, quantity, backend),
-  consulted by :func:`repro.chain.run_queries` /
-  :func:`repro.chain.run_group_queries` before any evolution pass, so
-  repeated or overlapping sweeps skip already-answered cells entirely
-  (exact hits are byte-identical to recomputation);
+  consulted by :func:`repro.chain.run_queries` -- the one route every
+  chain query takes, the ``ConsistencyChain`` facade included -- before
+  any evolution pass, so repeated or overlapping sweeps skip
+  already-answered cells entirely (exact hits are byte-identical to
+  recomputation); the Monte-Carlo sampler stores its full-block
+  success counts there too;
 * :mod:`repro.results.log` -- the append-only event-log primitive both
   the memo and the chain-cache load statistics build on.
 

@@ -27,8 +27,12 @@ compacted ``memo.json``), safe under any number of concurrent sweep
 workers.  The active context's ``results_memo`` field names the memo
 directory (:mod:`repro.context`; the runner ships it in worker payloads
 exactly like the chain disk cache); :func:`query_memo` serves it to
-:func:`repro.chain.run_queries` / :func:`repro.chain.run_group_queries`
-before any evolution pass.
+:func:`repro.chain.run_queries` before any evolution pass.  That is the
+only route from a compiled chain to a number, so every chain query --
+sweeps, experiments and the ``ConsistencyChain`` facade alike -- reads
+and fills the same memo.  The bit-level Monte-Carlo sampler
+(:mod:`repro.sampling.estimator`) stores full-block success counts
+under its own ``mc``-prefixed tokens in the same log.
 """
 
 from __future__ import annotations

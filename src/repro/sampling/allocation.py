@@ -34,7 +34,6 @@ def _extend(cell: Mapping, estimate: MCEstimate, by: int) -> MCEstimate:
         start=estimate.samples,
         stop=estimate.samples + by,
         method=cell.get("method", "auto"),
-        quotient=cell.get("quotient"),
         use_memo=cell.get("use_memo", True),
     )
     return estimate.merge(grown)
@@ -58,7 +57,6 @@ def adaptive_cell_estimate(
     increment: int = DEFAULT_INCREMENT,
     max_samples: int = 64 * BLOCK_SAMPLES,
     method: str = "auto",
-    quotient=None,
     use_memo: bool = True,
 ) -> MCEstimate:
     """Sample one cell until its interval is narrow enough (or the cap).
@@ -78,7 +76,6 @@ def adaptive_cell_estimate(
         "ports": ports,
         "stream_seed": stream_seed,
         "method": method,
-        "quotient": quotient,
         "use_memo": use_memo,
     }
     estimate = _extend(cell, MCEstimate(0, 0), min(initial, max_samples))

@@ -2,15 +2,16 @@
 
 :func:`port_orbit_table` evaluates one representative per relabeling
 orbit and weights it by the orbit size.  The oracle here visits every
-``(n-1)!^n`` clique port assignment, compiles each chain unmemoized and
-asks the compiled chain's own limit method (not the batched query layer
-the table uses), and scans all ``n!`` permutations for a symmetry.
+``(n-1)!^n`` clique port assignment, decides each limit with the
+colour-refinement oracle (:mod:`refinement_oracle`, no chain at all),
+and scans all ``n!`` permutations for a symmetry.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
+from refinement_oracle import leader_election_limit
 
 from repro.analysis.symmetry import has_nontrivial_automorphism, symmetry_census
 from repro.analysis.worst_case_search import (
@@ -20,8 +21,6 @@ from repro.analysis.worst_case_search import (
     port_orbit_table,
     port_orbits,
 )
-from repro.chain import compile_chain
-from repro.core import leader_election
 from repro.randomness import RandomnessConfiguration
 from repro.randomness.configuration import enumerate_size_shapes
 
@@ -54,12 +53,9 @@ def brute_force():
     out = {}
     for shape in SHAPES:
         alpha = RandomnessConfiguration.from_group_sizes(shape)
-        task = leader_election(alpha.n)
         out[shape] = {
             _table(ports): (
-                compile_chain(
-                    alpha, ports, use_memo=False
-                ).limit_solving_probability(task),
+                leader_election_limit(alpha, ports),
                 has_nontrivial_automorphism(ports, alpha),
             )
             for ports in iter_all_port_assignments(alpha.n)

@@ -1,10 +1,11 @@
-"""Batched query layer: agreement with the scalar paths, plan hygiene.
+"""Batched query layer: mixed batches vs one query per call, plan hygiene.
 
-The batched exact path must be *byte-identical* to the scalar one (it
-reuses the scalar kernels, and these tests pin that contract), and the
-batched float path must agree with the scalar float path -- and with
-exact -- to 1e-12, across a grid of configurations, port assignments,
-tasks, and horizons.
+A mixed batch must answer every query *byte-identically* to asking that
+query alone (values and types), and the float backend must agree with
+the per-query float answers -- and with exact -- to 1e-12, across a
+grid of configurations, port assignments, tasks, and horizons.  The
+exact answers themselves are checked against literal enumeration in
+``test_backend_agreement.py``.
 """
 
 from fractions import Fraction
@@ -13,7 +14,6 @@ import pytest
 
 from repro.chain import (
     Query,
-    QueryBatch,
     QueryPlan,
     compile_chain,
     evolution_strategy,
@@ -59,46 +59,24 @@ def _all_queries(tasks, horizons):
     return queries
 
 
-def _scalar_answers(chain, queries, backend):
-    answers = []
-    for query in queries:
-        if query.quantity == "probability":
-            answers.append(
-                chain.solving_probability(
-                    query.task, query.horizon, backend=backend
-                )
-            )
-        elif query.quantity == "series":
-            answers.append(
-                chain.solving_probability_series(
-                    query.task, query.horizon, backend=backend
-                )
-            )
-        elif query.quantity == "limit":
-            answers.append(
-                chain.limit_solving_probability(query.task, backend=backend)
-            )
-        elif query.quantity == "expected":
-            answers.append(
-                chain.expected_solving_time(query.task, backend=backend)
-            )
-        else:
-            answers.append(chain.eventually_solvable(query.task))
-    return answers
+def _one_call_per_query(chain, queries, backend):
+    return [
+        run_queries(chain, [query], backend=backend)[0] for query in queries
+    ]
 
 
 class TestExactAgreement:
     @pytest.mark.parametrize("shape,make_ports", list(_grid()))
-    def test_batched_exact_byte_identical_to_scalar(self, shape, make_ports):
+    def test_mixed_batch_equals_one_call_per_query(self, shape, make_ports):
         alpha = RandomnessConfiguration.from_group_sizes(shape)
         chain = compile_chain(alpha, make_ports(shape))
         queries = _all_queries(_tasks(alpha.n), HORIZONS)
         batched = run_queries(chain, queries, backend="exact")
-        scalar = _scalar_answers(chain, queries, "exact")
-        assert batched == scalar
+        single = _one_call_per_query(chain, queries, "exact")
+        assert batched == single
         # Byte-identical means identical types too: Fractions everywhere
-        # a scalar query yields one (never silently degraded floats).
-        for got, want in zip(batched, scalar):
+        # a lone query yields one (never silently degraded floats).
+        for got, want in zip(batched, single):
             if isinstance(want, list):
                 assert [type(x) for x in got] == [type(x) for x in want]
             else:
@@ -107,14 +85,16 @@ class TestExactAgreement:
 
 class TestFloatAgreement:
     @pytest.mark.parametrize("shape,make_ports", list(_grid()))
-    def test_batched_float_matches_scalar_and_exact(self, shape, make_ports):
+    def test_float_batch_matches_one_call_per_query_and_exact(
+        self, shape, make_ports
+    ):
         alpha = RandomnessConfiguration.from_group_sizes(shape)
         chain = compile_chain(alpha, make_ports(shape))
         queries = _all_queries(_tasks(alpha.n), HORIZONS)
         batched = run_queries(chain, queries, backend="float")
-        scalar = _scalar_answers(chain, queries, "float")
-        exact = _scalar_answers(chain, queries, "exact")
-        for got, flt, ref in zip(batched, scalar, exact):
+        single = _one_call_per_query(chain, queries, "float")
+        exact = _one_call_per_query(chain, queries, "exact")
+        for got, flt, ref in zip(batched, single, exact):
             if isinstance(got, list):
                 assert len(got) == len(flt) == len(ref)
                 for g, f, r in zip(got, flt, ref):
@@ -168,26 +148,6 @@ class TestPlan:
             )
 
 
-class TestQueryBatchBuilder:
-    def test_handles_index_results_in_order(self):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
-        chain = compile_chain(alpha)
-        task = leader_election(3)
-        batch = QueryBatch(chain)
-        h_series = batch.series(task, 4)
-        h_limit = batch.limit(task)
-        h_prob = batch.probability(task, 2)
-        h_expected = batch.expected_time(task)
-        h_solvable = batch.solvable(task)
-        assert len(batch) == 5
-        results = batch.run()
-        assert results[h_series] == chain.solving_probability_series(task, 4)
-        assert results[h_limit] == chain.limit_solving_probability(task)
-        assert results[h_prob] == chain.solving_probability(task, 2)
-        assert results[h_expected] == chain.expected_solving_time(task)
-        assert results[h_solvable] == chain.eventually_solvable(task)
-
-
 class TestZeroOneAssertion:
     def test_solvable_asserts_zero_one_on_both_backends(self):
         alpha = RandomnessConfiguration.from_group_sizes((2, 2))
@@ -208,17 +168,19 @@ class TestDistributionCacheCap:
         alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
         task = leader_election(alpha.n)
         chain = compile_chain(alpha)
-        reference = chain.solving_probability(task, 12)
+        reference = run_queries(chain, [Query.probability(task, 12)])[0]
         fresh = compile_chain(alpha, use_memo=False)
         set_distribution_cache_cap(4)
         try:
-            assert fresh.solving_probability(task, 12) == reference
+            assert run_queries(fresh, [Query.probability(task, 12)]) == [
+                reference
+            ]
             assert len(fresh._dist_exact) <= 4
             # Batched series past the cap stays byte-identical too.
             capped = run_queries(fresh, [Query.series(task, 12)])[0]
         finally:
             set_distribution_cache_cap(None)
-        assert capped == chain.solving_probability_series(task, 12)
+        assert capped == run_queries(chain, [Query.series(task, 12)])[0]
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):
@@ -269,18 +231,6 @@ class TestAdaptiveEvolution:
         assert transition_density(0, 0) == 0.0
         assert evolution_strategy(0, 0) == "dense"
         assert evolution_strategy(1, 1) == "dense"
-
-    def test_plan_and_batch_reprs_expose_the_decision(self):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
-        chain = compile_chain(alpha)
-        task = leader_election(5)
-        plan = QueryPlan(chain, [Query.limit(task)])
-        assert plan.evolution in ("dense", "scatter")
-        assert plan.evolution in repr(plan)
-        batch = QueryBatch(chain)
-        batch.limit(task)
-        assert plan.evolution in repr(batch)
-
 
 class TestEvolutionVerdictMovesNoResults:
     """Dense and scatter evolve the same distribution: forcing either

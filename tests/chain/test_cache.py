@@ -47,8 +47,8 @@ class TestDiskCache:
         assert reloaded.key == original.key
         assert reloaded.labels == original.labels
         task = leader_election(alpha.n)
-        assert reloaded.limit_solving_probability(task) == (
-            original.limit_solving_probability(task)
+        assert run_queries(reloaded, [Query.limit(task)]) == (
+            run_queries(original, [Query.limit(task)])
         )
 
     def test_pickle_round_trip_drops_caches(self, cache_dir):
@@ -58,8 +58,8 @@ class TestDiskCache:
         chain.solvable_mask(task)  # populate a per-process cache
         clone = pickle.loads(pickle.dumps(chain))
         assert clone.labels == chain.labels
-        assert clone.solving_probability_series(task, 4) == (
-            chain.solving_probability_series(task, 4)
+        assert run_queries(clone, [Query.series(task, 4)]) == (
+            run_queries(chain, [Query.series(task, 4)])
         )
 
     def test_corrupt_file_is_a_miss(self, cache_dir):

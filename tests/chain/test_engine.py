@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import (
+    Query,
     back_port_tables,
     chain_key,
     clear_memo,
@@ -22,6 +23,7 @@ from repro.chain import (
     memo_size,
     neighbour_tables,
     refine_labels,
+    run_queries,
 )
 from repro.chain.engine import (
     VECTOR_MIN_ROWS,
@@ -34,6 +36,7 @@ from repro.core import (
     expected_solving_time,
     leader_election,
     single_block_state,
+    solving_time_quantile,
 )
 from repro.models import (
     adversarial_assignment,
@@ -139,8 +142,13 @@ class TestMaskCache:
         assert ref() is None  # the chain's cache did not pin the task
 
 
+def _ask(chain, query):
+    return run_queries(chain, [query])[0]
+
+
 class TestFacadeEquivalence:
-    """The facade and the raw engine must agree value-for-value."""
+    """The facade must equal :func:`run_queries` on the compiled chain,
+    value for value and type for type."""
 
     @pytest.mark.parametrize(
         "shape, make_ports",
@@ -156,21 +164,35 @@ class TestFacadeEquivalence:
         task = leader_election(alpha.n)
         facade = ConsistencyChain(alpha, ports)
         compiled = compile_chain(alpha, ports)
-        series = facade.solving_probability_series(task, 5)
-        assert series == compiled.solving_probability_series(task, 5)
+        pairs = [
+            (
+                facade.solving_probability_series(task, 5),
+                _ask(compiled, Query.series(task, 5)),
+            ),
+            (
+                facade.limit_solving_probability(task),
+                _ask(compiled, Query.limit(task)),
+            ),
+            (
+                facade.eventually_solvable(task),
+                _ask(compiled, Query.solvable(task)),
+            ),
+            (
+                expected_solving_time(facade, task),
+                _ask(compiled, Query.expected_time(task)),
+            ),
+        ]
         for t in (0, 1, 3):
-            assert facade.solving_probability(task, t) == (
-                compiled.solving_probability(task, t)
+            pairs.append(
+                (
+                    facade.solving_probability(task, t),
+                    _ask(compiled, Query.probability(task, t)),
+                )
             )
-        assert facade.limit_solving_probability(task) == (
-            compiled.limit_solving_probability(task)
-        )
-        assert facade.eventually_solvable(task) == (
-            compiled.eventually_solvable(task)
-        )
-        assert expected_solving_time(facade, task) == (
-            compiled.expected_solving_time(task)
-        )
+        for got, want in pairs:
+            assert got == want
+            assert type(got) is type(want)
+        assert all(type(p) is Fraction for p in pairs[0][0])
 
     def test_reachable_states_match_state_table(self):
         alpha = RandomnessConfiguration.from_group_sizes((2, 2))
@@ -188,7 +210,7 @@ class TestFacadeEquivalence:
         compiled = compile_chain(alpha)
         for t in range(4):
             by_partition = facade.state_distribution(t)
-            by_id = compiled.state_distribution(t)
+            by_id = compiled.cached_distribution_exact(t)
             assert sum(by_partition.values()) == Fraction(1)
             assert by_partition == {
                 compiled.partition_of(sid): prob
@@ -200,7 +222,7 @@ class TestFacadeEquivalence:
         alpha = RandomnessConfiguration.independent(4)
         compiled = compile_chain(alpha, ring)
         task = leader_election(4)
-        assert compiled.limit_solving_probability(task) == 1
+        assert _ask(compiled, Query.limit(task)) == 1
         facade = ConsistencyChain(alpha, ring)
         assert facade.compiled is compiled  # memo shared across layers
 
@@ -279,25 +301,25 @@ class TestQuantilesAndExpectations:
         alpha = RandomnessConfiguration.from_group_sizes((1, 2))
         task = leader_election(3)
         compiled = compile_chain(alpha)
-        series = compiled.solving_probability_series(task, 10)
+        series = _ask(compiled, Query.series(task, 10))
         for q in (Fraction(1, 2), Fraction(3, 4), Fraction(15, 16)):
-            t = compiled.solving_time_quantile(task, q, t_cap=32)
+            t = solving_time_quantile(compiled, task, q, t_cap=32)
             assert series[t - 1] >= q
             assert t == 1 or series[t - 2] < q
 
     def test_unsolvable_expectation_is_none(self):
         alpha = RandomnessConfiguration.from_group_sizes((2, 2))
         compiled = compile_chain(alpha, adversarial_assignment((2, 2)))
-        assert compiled.expected_solving_time(leader_election(4)) is None
+        assert _ask(compiled, Query.expected_time(leader_election(4))) is None
 
     def test_single_node_chain(self):
         alpha = RandomnessConfiguration.shared(1)
         compiled = compile_chain(alpha)
         task = leader_election(1)
         assert compiled.num_states == 1
-        assert compiled.solving_probability(task, 0) == 1
-        assert compiled.limit_solving_probability(task) == 1
-        assert compiled.expected_solving_time(task) == 0
+        assert _ask(compiled, Query.probability(task, 0)) == 1
+        assert _ask(compiled, Query.limit(task)) == 1
+        assert _ask(compiled, Query.expected_time(task)) == 0
 
 
 class TestFacadeInternals:

@@ -326,6 +326,6 @@ class TestModesAndKeys:
         assert clone.orbit_sizes == quot.orbit_sizes
         assert clone.group_order == quot.group_order
         task = runner_spec.make_task("leader", 4)
-        assert clone.limit_solving_probability(
-            task
-        ) == quot.limit_solving_probability(task)
+        assert run_queries(clone, [Query.limit(task)]) == (
+            run_queries(quot, [Query.limit(task)])
+        )

@@ -11,7 +11,6 @@ from repro.randomness import RandomnessConfiguration
 from repro.sampling import (
     BLOCK_SAMPLES,
     block_indicators,
-    chain_draws,
     philox_key,
     resolve_method,
     scalar_block_indicators,
@@ -43,12 +42,8 @@ class TestSubstreams:
         large = source_words(3, 0, 4, 3)
         assert np.array_equal(large[:, :, :1], small)
 
-    def test_chain_draw_prefix_extension(self):
-        assert np.array_equal(chain_draws(9, 2, 6)[:, :4], chain_draws(9, 2, 4))
-
     def test_shapes(self):
         assert source_words(0, 0, 5, 2).shape == (BLOCK_SAMPLES, 5, 2)
-        assert chain_draws(0, 0, 3).shape == (BLOCK_SAMPLES, 3)
         assert words_needed(1) == words_needed(64) == 1
         assert words_needed(65) == 2
         with pytest.raises(ValueError):
@@ -56,9 +51,10 @@ class TestSubstreams:
 
     def test_resolve_method(self):
         assert resolve_method("auto") == "bits"
-        assert resolve_method("chain") == "chain"
-        with pytest.raises(ValueError):
-            resolve_method("quantum")
+        assert resolve_method("scalar") == "scalar"
+        for gone in ("quantum", "chain"):
+            with pytest.raises(ValueError):
+                resolve_method(gone)
 
 
 # The sharp correctness test: the vectorized solvers must reproduce the
