@@ -41,41 +41,52 @@ Quickstart::
     chain.eventually_solvable(task)          # False: no n_i == 1 (Thm 4.1)
 """
 
-from .chain import CompiledChain, compile_chain
-from .core import (
-    ConsistencyChain,
-    CountTask,
-    OutputComplexTask,
-    SymmetryBreakingTask,
-    blackboard_solvable,
-    eventually_solvable,
-    k_leader_election,
-    leader_election,
-    message_passing_worst_case_solvable,
-    solving_probability_exact,
-    solving_probability_series,
-    weak_symmetry_breaking,
-)
-from .models import (
-    BlackboardModel,
-    MessagePassingModel,
-    PortAssignment,
-    adversarial_assignment,
-    random_assignment,
-    round_robin_assignment,
-)
-from .randomness import RandomnessConfiguration, enumerate_size_shapes
-from .runner import (
-    ProcessPoolEngine,
-    RunDirectory,
-    RunSpec,
-    SerialEngine,
-    SweepSpec,
-    derive_seed,
-    make_engine,
-    run_sweep,
-)
-from .topology import Simplex, SimplicialComplex, Vertex
+from time import perf_counter as _perf_counter
+
+#: ``perf_counter`` when the package started importing: the start of
+#: the CLI's ``startup`` span (see :func:`repro.cli.main`).
+_STARTED = _perf_counter()
+
+from . import _lazy  # noqa: E402
+
+# Re-exports resolve on first access, so ``import repro`` loads no tier.
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".chain": ("CompiledChain", "compile_chain"),
+    ".core": (
+        "ConsistencyChain",
+        "CountTask",
+        "OutputComplexTask",
+        "SymmetryBreakingTask",
+        "blackboard_solvable",
+        "eventually_solvable",
+        "k_leader_election",
+        "leader_election",
+        "message_passing_worst_case_solvable",
+        "solving_probability_exact",
+        "solving_probability_series",
+        "weak_symmetry_breaking",
+    ),
+    ".models": (
+        "BlackboardModel",
+        "MessagePassingModel",
+        "PortAssignment",
+        "adversarial_assignment",
+        "random_assignment",
+        "round_robin_assignment",
+    ),
+    ".randomness": ("RandomnessConfiguration", "enumerate_size_shapes"),
+    ".runner": (
+        "ProcessPoolEngine",
+        "RunDirectory",
+        "RunSpec",
+        "SerialEngine",
+        "SweepSpec",
+        "derive_seed",
+        "make_engine",
+        "run_sweep",
+    ),
+    ".topology": ("Simplex", "SimplicialComplex", "Vertex"),
+})
 
 __version__ = "1.0.0"
 

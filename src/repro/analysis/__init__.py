@@ -2,84 +2,69 @@
 
 Each generator returns an :class:`ExperimentResult` with measurements and a
 verdict against the paper's prediction.  ``run_all_experiments()`` executes
-the full reproduction sweep (used by ``examples/reproduce_paper.py``); the
-individual generators back one benchmark file each.
+the full reproduction sweep, :data:`ALL_EXPERIMENTS` (defined in
+:mod:`repro.analysis.registry`; used by ``examples/reproduce_paper.py``);
+the individual generators back one benchmark file each.
 """
 
-from .convergence import convergence_rates, exact_tail_ratio, fitted_decay_rate
-from .extensions import extension_expected_times, extension_task_zoo
-from .graphs import extension_anonymous_graphs, ring_labeling_census
-from .montecarlo import (
-    Estimate,
-    adaptive_estimate,
-    estimate_solving_probability,
-    wilson_interval,
-)
-from .report import (
-    result_from_dict,
-    result_to_csv,
-    result_to_dict,
-    result_to_markdown,
-    results_from_json,
-    results_to_json,
-    write_report,
-)
-from .round_complexity import protocol_round_complexity
-from .symmetry import (
-    has_nontrivial_automorphism,
-    source_preserving_automorphisms,
-    symmetry_census,
-)
-from .worst_case_search import (
-    exhaustive_worst_case,
-    iter_all_port_assignments,
-    worst_case_port_search,
-)
-from .figures import (
-    figure1_protocol_complex,
-    figure2_realization_complex,
-    figure3_output_projection,
-    figure4_solvability_equivalence,
-)
-from .protocols import (
-    algorithm1_matching,
-    euclid_protocol,
-    lemma43_divisibility,
-    theoremC1_reduction,
-)
-from .result import ExperimentResult
-from .theorems import (
-    extension_k_leader,
-    lemma_b1_equiprobability,
-    theorem41_blackboard,
-    theorem41_convergence,
-    theorem42_message_passing,
-)
+from .. import _lazy
 
-#: The full reproduction sweep, in paper order.
-ALL_EXPERIMENTS = (
-    figure1_protocol_complex,
-    figure2_realization_complex,
-    figure3_output_projection,
-    figure4_solvability_equivalence,
-    lemma_b1_equiprobability,
-    theorem41_blackboard,
-    theorem41_convergence,
-    theorem42_message_passing,
-    lemma43_divisibility,
-    algorithm1_matching,
-    euclid_protocol,
-    theoremC1_reduction,
-    extension_k_leader,
-    extension_task_zoo,
-    extension_expected_times,
-    extension_anonymous_graphs,
-    ring_labeling_census,
-    protocol_round_complexity,
-    worst_case_port_search,
-    symmetry_census,
-    convergence_rates,
-)
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".convergence": (
+        "convergence_rates",
+        "exact_tail_ratio",
+        "fitted_decay_rate",
+    ),
+    ".extensions": ("extension_expected_times", "extension_task_zoo"),
+    ".graphs": ("extension_anonymous_graphs", "ring_labeling_census"),
+    ".montecarlo": (
+        "Estimate",
+        "adaptive_estimate",
+        "estimate_solving_probability",
+        "wilson_interval",
+    ),
+    ".report": (
+        "result_from_dict",
+        "result_to_csv",
+        "result_to_dict",
+        "result_to_markdown",
+        "results_from_json",
+        "results_to_json",
+        "write_report",
+    ),
+    ".round_complexity": ("protocol_round_complexity",),
+    ".symmetry": (
+        "has_nontrivial_automorphism",
+        "source_preserving_automorphisms",
+        "symmetry_census",
+    ),
+    ".worst_case_search": (
+        "exhaustive_worst_case",
+        "iter_all_port_assignments",
+        "worst_case_port_search",
+    ),
+    ".figures": (
+        "figure1_protocol_complex",
+        "figure2_realization_complex",
+        "figure3_output_projection",
+        "figure4_solvability_equivalence",
+    ),
+    ".protocols": (
+        "algorithm1_matching",
+        "euclid_protocol",
+        "lemma43_divisibility",
+        "theoremC1_reduction",
+    ),
+    ".result": ("ExperimentResult",),
+    ".theorems": (
+        "extension_k_leader",
+        "lemma_b1_equiprobability",
+        "theorem41_blackboard",
+        "theorem41_convergence",
+        "theorem42_message_passing",
+    ),
+    ".registry": ("ALL_EXPERIMENTS",),
+})
 
 
 def iter_all_experiments(engine=None):
@@ -91,6 +76,9 @@ def iter_all_experiments(engine=None):
     (like the ``experiments`` CLI command) stream output as each
     experiment finishes instead of waiting for the whole registry.
     """
+    # Read through the package, so a rebound registry is the one run.
+    from . import ALL_EXPERIMENTS
+
     if engine is None or getattr(engine, "name", "serial") == "serial":
         for generator in ALL_EXPERIMENTS:
             yield generator()
@@ -117,7 +105,7 @@ def iter_all_experiments(engine=None):
         yield record["result"]
 
 
-def run_all_experiments(engine=None) -> list[ExperimentResult]:
+def run_all_experiments(engine=None) -> "list[ExperimentResult]":
     """Run every experiment with default parameters, in paper order.
 
     Materialized form of :func:`iter_all_experiments`.

@@ -20,61 +20,56 @@ every query is one :func:`run_queries` call; see ``CHAIN.md`` for the
 design.
 """
 
-from .backends import (
-    BACKENDS,
-    evolution_strategy,
-    transition_density,
-    validate_backend,
-)
-from .batch import (
-    QUANTITIES,
-    Query,
-    QueryPlan,
-    run_queries,
-)
-from .cache import (
-    CacheEntry,
-    ChainDiskCache,
-    disk_cache,
-)
-from .engine import (
-    DEFAULT_DISTRIBUTION_CACHE_CAP,
-    DENSE_STATE_LIMIT,
-    MAX_NODES,
-    ChainKey,
-    CompiledChain,
-    back_port_tables,
-    chain_key,
-    clear_memo,
-    compile_chain,
-    memo_size,
-    neighbour_tables,
-    refine_labels,
-    set_distribution_cache_cap,
-)
-from .multi import run_group_queries
-from .quotient import (
-    QUOTIENT_MODES,
-    QuotientChain,
-    automorphism_count,
-    automorphism_generators,
-    configure_quotient,
-    effective_chain_key,
-    is_chain_automorphism,
-    is_quotient_key,
-    quotient_key,
-    quotient_mode,
-    resolve_quotient,
-)
-from .interning import (
-    LabelVector,
-    StateTable,
-    block_count,
-    block_sizes,
-    blocks_from_labels,
-    canonical_labels,
-    labels_from_blocks,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".backends": (
+        "BACKENDS",
+        "evolution_strategy",
+        "transition_density",
+        "validate_backend",
+    ),
+    ".batch": ("QUANTITIES", "Query", "QueryPlan", "run_queries"),
+    ".cache": ("CacheEntry", "ChainDiskCache", "disk_cache"),
+    ".engine": (
+        "DEFAULT_DISTRIBUTION_CACHE_CAP",
+        "DENSE_STATE_LIMIT",
+        "MAX_NODES",
+        "ChainKey",
+        "CompiledChain",
+        "back_port_tables",
+        "chain_key",
+        "clear_memo",
+        "compile_chain",
+        "memo_size",
+        "neighbour_tables",
+        "refine_labels",
+        "set_distribution_cache_cap",
+    ),
+    ".multi": ("run_group_queries",),
+    ".quotient": (
+        "QUOTIENT_MODES",
+        "QuotientChain",
+        "automorphism_count",
+        "automorphism_generators",
+        "configure_quotient",
+        "effective_chain_key",
+        "is_chain_automorphism",
+        "is_quotient_key",
+        "quotient_key",
+        "quotient_mode",
+        "resolve_quotient",
+    ),
+    ".interning": (
+        "LabelVector",
+        "StateTable",
+        "block_count",
+        "block_sizes",
+        "blocks_from_labels",
+        "canonical_labels",
+        "labels_from_blocks",
+    ),
+})
 
 __all__ = [
     "BACKENDS",

@@ -27,11 +27,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..context import BACKENDS
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .engine import CompiledChain
-
-#: Recognized backend names (the ``backend=`` kwarg / ``--backend`` flag).
-BACKENDS = ("exact", "float")
 
 #: Density floor for the dense evolution path: a dense matvec does
 #: ``states^2`` fused multiply-adds where the scatter-add does ``nnz``

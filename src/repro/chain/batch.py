@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..context import current
 from ..obs import OBS, trace
 from .backends import (
     absorption_exact,
@@ -277,15 +278,16 @@ def memoized_answers(chain, queries: Sequence[Query], backend: str):
     downstream records -- which is what lets warm sweeps skip evolution
     passes (and chain compilation) entirely.
     """
-    from ..results.memo import MISS, query_memo, query_token
-
-    memo = query_memo()
-    if memo is None:
+    if current().results_memo is None:
+        # Checked before the import: without a memo a query never loads
+        # the warehouse tier.
         return [None] * len(queries), [None] * len(queries), list(
             range(len(queries))
         )
+    from ..results.memo import MISS, query_memo, query_token
     from .cache import key_digest
 
+    memo = query_memo()
     digest = key_digest(chain.key)
     results: list = [None] * len(queries)
     tokens: list = []
@@ -307,11 +309,11 @@ def record_answers(tokens: Sequence, indices: Sequence[int],
                    results: Sequence) -> None:
     """Record freshly computed answers under their memo tokens (no-op
     without a configured memo or for ``None`` tokens)."""
+    if current().results_memo is None:
+        return
     from ..results.memo import query_memo
 
     memo = query_memo()
-    if memo is None:
-        return
     for i in indices:
         memo.record(tokens[i], results[i])
 

@@ -31,7 +31,6 @@ import tempfile
 
 from .. import context as _context
 from ..obs import OBS
-from ..results.log import AppendLog
 from .engine import ChainKey, CompiledChain
 
 #: Compacted stats snapshot next to the cached chains (an
@@ -124,6 +123,10 @@ class ChainDiskCache:
     # Load statistics (append-only log + compacted snapshot)
     # ------------------------------------------------------------------
     def _stats_log(self) -> "AppendLog":
+        # Imported here: a query that compiles without a disk cache
+        # should not load the warehouse tier.
+        from ..results.log import AppendLog
+
         return AppendLog(self.root, "_stats")
 
     def load_stats(self) -> dict[str, int]:

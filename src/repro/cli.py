@@ -16,7 +16,21 @@ chains          list/inspect/prune a chain disk cache
 results         query/export/stats/compact/ingest/vacuum a results warehouse
 metrics         show/export collected telemetry; cross-run history (OBS.md)
 obs             cross-run analytics: diff two sweeps, per-tier attribution
+graphs          anonymous-graph worst-case analysis (k=1 slice)
+mermaid         refinement lattice as a mermaid state diagram
+report          run all experiments and write JSON/CSV/Markdown
 trace           prefix: run any command traced and print its span tree
+
+This module holds the parser and ``main``; each command's code lives in
+one module of :mod:`repro.commands`, which ``main`` imports only when
+that command runs -- so starting the CLI loads no numpy, and a query
+loads only the tiers it uses:
+
+repro.commands.queries   solve, series, expected-time, protocol, graphs,
+                         mermaid
+repro.commands.runs      phase-diagram, run, estimate, sweep
+repro.commands.store     chains, results, metrics, obs
+repro.commands.reports   figures, experiments, report
 
 Chain queries run through the batched query layer (``repro.chain.batch``:
 one shared pass answers a whole set of (task, horizon) questions).
@@ -100,41 +114,56 @@ decisions".
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
+import time
 from dataclasses import replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .chain import BACKENDS
-from .context import current, use
-from .core import ConsistencyChain
-from .core.tasks import SymmetryBreakingTask
-from .models import PortAssignment
-from .randomness import RandomnessConfiguration, enumerate_size_shapes
-from .runner import spec as runner_spec
-from .runner.engines import ENGINE_NAMES, ExecutionEngine, make_engine
-from .viz import format_table
+# Module level stays stdlib plus repro.context: starting the CLI loads
+# no tier; ``main`` imports the chosen command's module.
+from .context import (
+    BACKENDS,
+    ENGINE_NAMES,
+    KINDS,
+    MODELS,
+    PORT_KINDS,
+    current,
+    use,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .core.tasks import SymmetryBreakingTask
+    from .models import PortAssignment
+    from .runner.engines import ExecutionEngine
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
+    from .runner.spec import parse_sizes
+
     try:
-        return runner_spec.parse_sizes(text)
+        return parse_sizes(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _make_task(spec: str, n: int) -> SymmetryBreakingTask:
+def _make_task(spec: str, n: int) -> "SymmetryBreakingTask":
     """Parse a task spec like ``leader``, ``k-leader:2``, ``teams:2,3``."""
+    from .runner.spec import make_task
+
     try:
-        return runner_spec.make_task(spec, n)
+        return make_task(spec, n)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def _make_ports(
     kind: str, sizes: tuple[int, ...], seed: int
-) -> PortAssignment:
+) -> "PortAssignment":
+    from .runner.spec import make_ports
+
     try:
-        ports = runner_spec.make_ports(kind, sizes, seed)
+        ports = make_ports(kind, sizes, seed)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     if ports is None:
@@ -158,23 +187,16 @@ def _add_engine_args(p) -> None:
 
 
 #: Port kinds a user can ask for ("none" is the internal blackboard marker).
-_CLI_PORT_KINDS = tuple(k for k in runner_spec.PORT_KINDS if k != "none")
+_CLI_PORT_KINDS = tuple(k for k in PORT_KINDS if k != "none")
 
 
-def _engine_from(args) -> ExecutionEngine:
+def _engine_from(args) -> "ExecutionEngine":
+    from .runner.engines import make_engine
+
     try:
         return make_engine(args.engine, workers=args.workers)
     except ValueError as exc:
         raise SystemExit(f"{args.command}: {exc}")
-
-
-def _chain(args) -> tuple[RandomnessConfiguration, ConsistencyChain]:
-    alpha = RandomnessConfiguration.from_group_sizes(args.sizes)
-    backend = getattr(args, "backend", "exact")
-    if args.model == "blackboard":
-        return alpha, ConsistencyChain(alpha, backend=backend)
-    ports = _make_ports(args.ports, args.sizes, args.seed)
-    return alpha, ConsistencyChain(alpha, ports, backend=backend)
 
 
 def _add_backend_arg(p) -> None:
@@ -204,13 +226,6 @@ def _add_warehouse_args(p) -> None:
         action="store_true",
         help="disable warehouse ingestion and the cross-run query memo",
     )
-
-
-def _warehouse_from(args):
-    """The ``warehouse`` argument for ``run_sweep`` (False = opted out)."""
-    if getattr(args, "no_warehouse", False):
-        return False
-    return getattr(args, "warehouse", None)
 
 
 def _add_profile_arg(p) -> None:
@@ -274,1015 +289,6 @@ def _add_progress_args(p) -> None:
     )
 
 
-def _live_from(args) -> "dict | None":
-    """The ``run_sweep(live=...)`` payload for ``--progress``, or None."""
-    if not getattr(args, "progress", False):
-        return None
-    return {
-        "deadline": args.stall_deadline,
-        "action": args.stall_action,
-    }
-
-
-def _stderr_progress(total: int):
-    """A per-record callback printing ``done/total`` lines to stderr."""
-    done = 0
-
-    def advance(record: dict) -> None:
-        nonlocal done
-        done += 1
-        key = record.get("key", "?")
-        print(f"progress: {done}/{total} {key}", file=sys.stderr)
-
-    return advance
-
-
-# ----------------------------------------------------------------------
-# Subcommands
-# ----------------------------------------------------------------------
-def cmd_solve(args) -> int:
-    from .chain import Query, run_queries
-
-    alpha, chain = _chain(args)
-    task = _make_task(args.task, alpha.n)
-    limit = run_queries(
-        chain.compiled, [Query.limit(task)], backend=chain.backend
-    )[0]
-    print(
-        f"configuration: sizes {alpha.group_sizes} (n={alpha.n}, "
-        f"k={alpha.k}, gcd={alpha.gcd})"
-    )
-    print(f"backend: {chain.backend}")
-    print(f"model: {args.model}" + (
-        f" ({args.ports} ports)" if args.model == "clique" else ""
-    ))
-    print(f"task: {task}")
-    print(f"limit of Pr[S(t)]: {limit}")
-    # The exact backend yields a true 0/1 Fraction; the float backend can
-    # land within rounding error of 1.
-    solvable = limit == 1 if chain.backend == "exact" else limit > 1 - 1e-9
-    print("eventually solvable:", "YES" if solvable else "NO")
-    return 0
-
-
-def cmd_series(args) -> int:
-    from .chain import Query, run_queries
-
-    alpha, chain = _chain(args)
-    task = _make_task(args.task, alpha.n)
-    series = run_queries(
-        chain.compiled, [Query.series(task, args.t_max)],
-        backend=chain.backend,
-    )[0]
-    rows = [
-        (t, str(p), f"{float(p):.6f}")
-        for t, p in enumerate(series, start=1)
-    ]
-    label = "exact" if chain.backend == "exact" else "float64"
-    print(format_table(("t", f"Pr[S(t)] {label}", "~"), rows))
-    return 0
-
-
-def cmd_expected_time(args) -> int:
-    from .chain import Query, run_queries
-
-    alpha, chain = _chain(args)
-    task = _make_task(args.task, alpha.n)
-    expected = run_queries(
-        chain.compiled, [Query.expected_time(task)], backend=chain.backend
-    )[0]
-    if expected is None:
-        print("expected time: infinite (task not eventually solvable)")
-    else:
-        print(f"expected rounds to a solving state: {expected} "
-              f"(~{float(expected):.4f})")
-    return 0
-
-
-def cmd_phase_diagram(args) -> int:
-    from .runner import SweepSpec, run_sweep
-
-    try:
-        sweep = SweepSpec.for_total_size(
-            args.n,
-            models=("blackboard", "clique"),
-            ports=("adversarial",),
-            tasks=(args.task,),
-        )
-        progress = (
-            _stderr_progress(len(sweep.expand())) if args.progress else None
-        )
-        outcome = run_sweep(
-            sweep,
-            engine=_engine_from(args),
-            run_dir=args.run_dir,
-            warehouse=_warehouse_from(args),
-            progress=progress,
-            live=_live_from(args),
-        )
-    except ValueError as exc:  # e.g. a bad --task spec
-        raise SystemExit(f"phase-diagram: {exc}")
-    # Jobs expand blackboard-then-clique per shape; zip the pairs back
-    # into the historical two-column table.
-    by_shape: dict[tuple[int, ...], dict[str, bool]] = {}
-    gcds: dict[tuple[int, ...], int] = {}
-    for record in outcome.records:
-        shape = tuple(record["spec"]["sizes"])
-        by_shape.setdefault(shape, {})[record["spec"]["model"]] = record[
-            "value"
-        ]["solvable"]
-        gcds[shape] = record["gcd"]
-    rows = [
-        (
-            shape,
-            gcds[shape],
-            "yes" if verdicts["blackboard"] else "no",
-            "yes" if verdicts["clique"] else "no",
-        )
-        for shape, verdicts in by_shape.items()
-    ]
-    print(
-        format_table(
-            ("sizes", "gcd", "blackboard", "clique (worst case)"), rows
-        )
-    )
-    return 0
-
-
-def cmd_protocol(args) -> int:
-    from .algorithms import (
-        BlackboardLeaderNode,
-        BlackboardNetwork,
-        CliqueNetwork,
-        EuclidLeaderNode,
-    )
-
-    alpha = RandomnessConfiguration.from_group_sizes(args.sizes)
-    if args.model == "blackboard":
-        network = BlackboardNetwork(
-            alpha, lambda: BlackboardLeaderNode(k=args.k), seed=args.seed
-        )
-    else:
-        ports = _make_ports(args.ports, args.sizes, args.seed)
-        network = CliqueNetwork(
-            alpha, ports, lambda: EuclidLeaderNode(k=args.k), seed=args.seed
-        )
-    result = network.run(max_rounds=args.max_rounds)
-    if result.all_decided:
-        print(
-            f"elected {result.leaders()} in {result.rounds} rounds "
-            f"(k={args.k})"
-        )
-        return 0
-    print(f"no election within {args.max_rounds} rounds")
-    return 1
-
-
-def cmd_figures(args) -> int:
-    from .core import (
-        build_protocol_complex,
-        leader_election_complex,
-        project_complex,
-        realization_complex,
-    )
-    from .models import BlackboardModel
-    from .viz import render_complex
-
-    print("Figure 1 -- P(t), n=2, blackboard")
-    for t in range(2):
-        build = build_protocol_complex(BlackboardModel(2), t)
-        print(render_complex(build.complex, title=f"P({t}):"))
-    print("\nFigure 2 -- R(1), n=3")
-    print(render_complex(realization_complex(3, 1)))
-    print("\nFigure 3 -- O_LE and pi(O_LE), n=3")
-    o_le = leader_election_complex(3)
-    print(render_complex(o_le, title="O_LE:"))
-    print(render_complex(project_complex(o_le), title="pi(O_LE):"))
-    return 0
-
-
-def cmd_graphs(args) -> int:
-    """Worst-case deterministic leader election on a graph family."""
-    from .core import (
-        color_refinement_fixpoint,
-        leader_election,
-        worst_case_deterministic_solvable,
-    )
-    from .models import GraphTopology
-    from .viz import render_partition
-
-    name, _, arg = args.graph.partition(":")
-    if name == "ring":
-        topology = GraphTopology.ring(int(arg))
-    elif name == "path":
-        topology = GraphTopology.path(int(arg))
-    elif name == "star":
-        topology = GraphTopology.star(int(arg))
-    elif name == "clique":
-        topology = GraphTopology.complete(int(arg))
-    elif name == "bipartite":
-        m, n = (int(x) for x in arg.split(","))
-        topology = GraphTopology.complete_bipartite(m, n)
-    else:
-        raise SystemExit(f"unknown graph {args.graph!r}")
-    n = topology.n
-    fixpoint = color_refinement_fixpoint(topology)
-    print(f"graph: {args.graph} (n={n}, labelings={topology.labeling_count()})")
-    print(
-        "color-refinement fixpoint (canonical labeling):",
-        render_partition([frozenset(b) for b in fixpoint]),
-    )
-    if topology.labeling_count() > args.labeling_limit:
-        print(
-            f"worst case skipped: {topology.labeling_count()} labelings "
-            f"exceed --labeling-limit {args.labeling_limit}"
-        )
-        return 0
-    verdict = worst_case_deterministic_solvable(
-        topology, leader_election(n), limit=args.labeling_limit
-    )
-    print(
-        "worst-case deterministic leader election:",
-        "YES" if verdict else "NO",
-    )
-    return 0
-
-
-def cmd_chains(args) -> int:
-    """List, inspect, or prune a chain disk cache."""
-    import datetime
-    import pathlib
-
-    from .chain import ChainDiskCache
-
-    root = pathlib.Path(args.directory)
-    # Accept a run directory transparently: sweeps persist their chains
-    # under <run_dir>/chains.
-    if (root / "chains").is_dir():
-        root = root / "chains"
-    if not root.is_dir():
-        raise SystemExit(f"chains: no cache directory at {args.directory}")
-    cache = ChainDiskCache(root)
-    entries = cache.entries()
-    if args.action == "prune":
-        if args.all:
-            removed = cache.evict(max_bytes=0, max_entries=0)
-        elif args.max_bytes is None and args.max_entries is None:
-            raise SystemExit(
-                "chains prune: need --max-bytes, --max-entries, or --all"
-            )
-        else:
-            try:
-                removed = cache.evict(
-                    max_bytes=args.max_bytes, max_entries=args.max_entries
-                )
-            except ValueError as exc:
-                raise SystemExit(f"chains prune: {exc}")
-        freed = sum(entry.size for entry in removed)
-        print(
-            f"pruned {len(removed)}/{len(entries)} cached chains "
-            f"({freed} bytes freed) from {root}"
-        )
-        return 0
-    if not entries:
-        print(f"{root}: empty chain cache")
-        return 0
-    rows = []
-    for entry in entries:
-        stamp = datetime.datetime.fromtimestamp(entry.mtime).isoformat(
-            sep=" ", timespec="seconds"
-        )
-        if args.action == "inspect":
-            try:
-                chain = cache.read(entry.path)
-                model = "blackboard" if chain.key[1] is None else (
-                    "classical" if chain.key[2] is not None else "clique"
-                )
-                detail = (
-                    f"n={chain.n} k={chain.k} states={chain.num_states} "
-                    f"transitions={chain.num_transitions} {model}"
-                )
-            except Exception as exc:
-                detail = f"unreadable ({type(exc).__name__})"
-            rows.append(
-                (entry.digest[:12], entry.size, entry.loads, stamp, detail)
-            )
-        else:
-            rows.append((entry.digest[:12], entry.size, entry.loads, stamp))
-    headers = (
-        ("digest", "bytes", "loads", "last used", "chain")
-        if args.action == "inspect"
-        else ("digest", "bytes", "loads", "last used")
-    )
-    print(format_table(headers, rows))
-    print(f"{len(entries)} chains, {cache.total_bytes()} bytes in {root}")
-    return 0
-
-
-#: Comparison spellings ``--where`` understands, longest first so
-#: ``>=`` wins over ``>`` and ``=`` stays the equality shorthand.
-_WHERE_OPS = (">=", "<=", "!=", "==", ">", "<", "=")
-
-
-def _parse_where(clause: str):
-    """Split one ``--where`` clause into ``(column, op, raw value)``."""
-    for op in _WHERE_OPS:
-        name, found, value = clause.partition(op)
-        if found:
-            name, value = name.strip(), value.strip()
-            if name and value:
-                return name, op, value
-    raise SystemExit(
-        f"results: bad --where {clause!r} (expected column OP value "
-        f"with OP in {', '.join(_WHERE_OPS)})"
-    )
-
-
-def _where_predicate(table, clauses):
-    """Fold ``--where`` clauses into one predicate (typed per column)."""
-    from .results import col
-
-    predicate = None
-    for clause in clauses or ():
-        name, op, raw = _parse_where(clause)
-        kind = table.column(name).dtype.kind
-        try:
-            if kind in "US":
-                value = raw
-            elif kind == "b":
-                value = raw.lower() in ("1", "true", "yes")
-            elif kind in "iu":
-                value = int(raw)
-            else:
-                value = float(raw)
-        except ValueError:
-            raise SystemExit(
-                f"results: --where {clause!r}: {raw!r} is not a valid "
-                f"value for column {name!r}"
-            )
-        column = col(name)
-        term = {
-            "=": column == value,
-            "==": column == value,
-            "!=": column != value,
-            ">": column > value,
-            ">=": column >= value,
-            "<": column < value,
-            "<=": column <= value,
-        }[op]
-        predicate = term if predicate is None else predicate & term
-    return predicate
-
-
-def _results_store(directory: str):
-    """Open a warehouse, accepting a run directory transparently."""
-    import pathlib
-
-    from .results import ResultsStore
-
-    root = pathlib.Path(directory)
-    if (root / "warehouse").is_dir():
-        root = root / "warehouse"
-    if not (root / "segments").is_dir():
-        raise SystemExit(f"results: no warehouse at {directory}")
-    return ResultsStore(root)
-
-
-def _results_table(store, args):
-    """The selected table with where/group/sort/limit applied."""
-    table = store.table(args.table)
-    predicate = _where_predicate(table, args.where)
-    if predicate is not None:
-        table = table.filter(predicate)
-    if args.group_by:
-        keys = [k for part in args.group_by for k in part.split(",") if k]
-        aggregates = {}
-        for spec in args.agg or ["count"]:
-            fn, _, column = spec.partition(":")
-            if fn == "count":
-                aggregates["count"] = ("count",)
-            else:
-                if not column:
-                    raise SystemExit(
-                        f"results: --agg {spec!r} needs fn:column"
-                    )
-                aggregates[f"{fn}_{column}"] = (fn, column)
-        try:
-            table = table.group_by(keys, aggregates)
-        except (KeyError, ValueError) as exc:
-            raise SystemExit(f"results: {exc}")
-    if args.columns:
-        names = [c for part in args.columns for c in part.split(",") if c]
-        try:
-            table = table.project(names)
-        except KeyError as exc:
-            raise SystemExit(f"results: {exc}")
-    if args.sort_by:
-        table = table.sort_by(
-            [c for part in args.sort_by for c in part.split(",") if c]
-        )
-    if args.limit is not None:
-        table = table.head(args.limit)
-    return table
-
-
-def cmd_results(args) -> int:
-    """Query, export, inspect, compact, or feed a results warehouse."""
-    import csv
-    import io
-    import json
-    import sys as _sys
-
-    if args.action == "ingest":
-        if not args.run_dirs:
-            raise SystemExit("results ingest: need at least one run dir")
-        import pathlib
-
-        from .results import ResultsStore
-
-        # Same resolution as the read actions: a run directory means
-        # its warehouse/, so ingest and query always see one store.
-        root = pathlib.Path(args.directory)
-        if (root / "warehouse").is_dir():
-            root = root / "warehouse"
-        store = ResultsStore(root)
-        for run_dir in args.run_dirs:
-            added = store.ingest_run_directory(run_dir)
-            print(f"ingested {added} new records from {run_dir}")
-        return 0
-    store = _results_store(args.directory)
-    if args.action == "vacuum":
-        if not args.run_dirs:
-            raise SystemExit("results vacuum: need at least one run dir")
-        removed = 0
-        for run_dir in args.run_dirs:
-            status = store.vacuum_run_directory(run_dir)
-            removed += status == "removed"
-            print(f"{run_dir}: {status}")
-        print(f"vacuumed {removed}/{len(args.run_dirs)} run directories")
-        return 0 if removed == len(args.run_dirs) else 1
-    if args.action == "stats":
-        stats = store.stats()
-        rows = [
-            (name, info["rows"], info["segments"], info["bytes"])
-            for name, info in sorted(stats["tables"].items())
-        ]
-        print(format_table(("table", "rows", "segments", "bytes"), rows))
-        memo = stats["memo"]
-        print(
-            f"memo: {memo['entries']} entries, "
-            f"{memo['log_bytes']} log bytes pending compaction"
-        )
-        return 0
-    if args.action == "compact":
-        summary = store.compact()
-        from .results import QueryMemo
-
-        entries = QueryMemo(store.memo_dir).compact()
-        print(
-            f"compacted {summary['merged']} merged segments "
-            f"({summary['removed']} removed), memo folded to "
-            f"{entries} entries"
-        )
-        return 0
-    table = _results_table(store, args)
-    if args.action == "query":
-        headers, rows = table.to_table()
-        if not rows:
-            print(f"no rows in table {args.table!r} match")
-            return 0
-        print(format_table(headers, rows))
-        print(f"{len(rows)} rows from {store.root}")
-        return 0
-    # export
-    out = (
-        open(args.output, "w", encoding="utf-8")
-        if args.output
-        else _sys.stdout
-    )
-    try:
-        if args.format == "json":
-            from .results.store import _nan_safe
-
-            # NaN cells (unfilled kind-specific columns) degrade to
-            # null so the document stays strict JSON.
-            rows = [
-                {name: _nan_safe(value) for name, value in row.items()}
-                for row in table.to_rows()
-            ]
-            json.dump(rows, out, indent=2, default=str)
-            out.write("\n")
-        else:
-            headers, rows = table.to_table()
-            buffer = io.StringIO()
-            writer = csv.writer(buffer)
-            writer.writerow(headers)
-            writer.writerows(rows)
-            out.write(buffer.getvalue())
-    finally:
-        if args.output:
-            out.close()
-            print(f"wrote {len(table)} rows to {args.output}")
-    return 0
-
-
-def cmd_metrics(args) -> int:
-    """Show or export collected telemetry (counters, gauges, spans).
-
-    ``--chains DIR`` first publishes that chain cache's exact sidecar
-    load counts as gauges (the same counts ``repro chains list``
-    displays, so the two commands always agree); ``--warehouse DIR``
-    folds in the rows sweeps persisted to the warehouse's ``telemetry``
-    table.  The ``history`` action instead reads the warehouse's
-    telemetry rows *across* sweeps -- one line per (metric, stamp) --
-    for trend reading (see OBS.md, "From telemetry to decisions").
-    Histogram lines in ``show`` carry p50/p90/p99 estimates derived
-    from the 64-bucket log2 bins.
-    """
-    import json
-    import pathlib
-
-    from .obs import OBS, histogram_percentiles, telemetry_rows
-
-    if args.action == "history":
-        from .obs.analyze import metrics_history
-
-        if not args.warehouse:
-            raise SystemExit("metrics history: needs --warehouse DIR")
-        rows = metrics_history(
-            _results_store(args.warehouse),
-            kind=args.kind,
-            name=args.name,
-            master_seed=args.master_seed,
-        )
-        if not rows:
-            print("no persisted telemetry matches (run traced sweeps "
-                  "with a warehouse first)")
-            return 0
-        print(
-            format_table(
-                ("name", "kind", "stamp", "master_seed", "value", "count"),
-                [
-                    (
-                        r["name"], r["kind"], f"{r['stamp']:.6f}",
-                        r["master_seed"], f"{r['value']:.6g}", r["count"],
-                    )
-                    for r in rows
-                ],
-            )
-        )
-        return 0
-    if args.chains:
-        from .chain import ChainDiskCache
-
-        root = pathlib.Path(args.chains)
-        # Accept a run directory transparently, like `repro chains`.
-        if (root / "chains").is_dir():
-            root = root / "chains"
-        if not root.is_dir():
-            raise SystemExit(f"metrics: no chain cache at {args.chains}")
-        ChainDiskCache(root).publish_gauges(OBS.metrics)
-    rows = telemetry_rows()
-    if args.warehouse:
-        store = _results_store(args.warehouse)
-        if "telemetry" in store.tables():
-            for row in store.table("telemetry").to_rows():
-                rows.append(
-                    {
-                        "kind": str(row["kind"]),
-                        "name": str(row["name"]),
-                        "value": float(row["value"]),
-                        "count": int(row["count"]),
-                    }
-                )
-            rows.sort(key=lambda r: (r["kind"], r["name"]))
-    if args.action == "export":
-        document = json.dumps(rows, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(document + "\n")
-            print(f"wrote {len(rows)} telemetry rows to {args.output}")
-        else:
-            print(document)
-        return 0
-    if not rows:
-        print("no telemetry collected (tracing off and nothing persisted)")
-        return 0
-
-    def detail(row) -> str:
-        # Percentile summaries for live histograms: the registry still
-        # holds the buckets (persisted rows carry totals only -- see
-        # OBS.md on the merge-law caveat).
-        if row["kind"] != "hist":
-            return ""
-        hist = OBS.metrics.histogram(row["name"])
-        if hist is None:
-            return ""
-        pct = histogram_percentiles(hist)
-        if not pct:
-            return ""
-        return " ".join(
-            f"{key}={pct[key]:.3g}" for key in ("p50", "p90", "p99")
-        )
-
-    print(
-        format_table(
-            ("kind", "name", "value", "count", "detail"),
-            [
-                (
-                    r["kind"], r["name"], f"{r['value']:.6g}",
-                    r["count"], detail(r),
-                )
-                for r in rows
-            ],
-        )
-    )
-    return 0
-
-
-def _obs_tail(args) -> int:
-    """Stream a live run's progress events (``repro obs tail RUN_DIR``)."""
-    import pathlib
-    import time
-
-    from .obs.live import PROGRESS_NAME, format_progress_event, read_progress
-
-    path = pathlib.Path(args.directory)
-    if path.is_dir():
-        path = path / PROGRESS_NAME
-    if not args.follow and not path.exists():
-        raise SystemExit(f"obs tail: no progress log at {path}")
-    offset = 0
-    while True:
-        events, offset = read_progress(path, offset)
-        ended = False
-        for event in events:
-            print(format_progress_event(event))
-            ended = ended or event.get("event") == "end"
-        if not args.follow or ended:
-            return 0
-        time.sleep(args.poll)
-
-
-def _obs_top(args) -> int:
-    """Render per-worker heartbeat state (``repro obs top RUN_DIR``)."""
-    import pathlib
-
-    from .obs.live import HEARTBEAT_DIR, worker_status
-
-    directory = pathlib.Path(args.directory)
-    if (directory / HEARTBEAT_DIR).is_dir():
-        directory = directory / HEARTBEAT_DIR
-    rows = worker_status(directory)
-    if not rows:
-        print(f"no heartbeats under {directory} (run a sweep with "
-              "--progress and a --run-dir first)")
-        return 0
-    print(
-        format_table(
-            ("worker", "phase", "done", "in-flight", "age", "rss", "cpu"),
-            [
-                (
-                    r["worker"],
-                    r.get("phase", "?"),
-                    r["jobs_finished"],
-                    r["in_flight"],
-                    f"{r['age']:.1f}s",
-                    _format_bytes(r.get("resources", {}).get("rss_peak", 0)),
-                    f"{r.get('resources', {}).get('cpu_seconds', 0.0):.1f}s",
-                )
-                for r in rows
-            ],
-        )
-    )
-    return 0
-
-
-def _format_bytes(count: int) -> str:
-    """Human-readable byte count (``1.5GiB``)."""
-    value = float(count)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024 or unit == "GiB":
-            return f"{value:.1f}{unit}" if unit != "B" else f"{int(value)}B"
-        value /= 1024
-    return f"{value:.1f}GiB"  # pragma: no cover - loop always returns
-
-
-def cmd_obs(args) -> int:
-    """Cross-run telemetry analytics and live-run inspection.
-
-    ``repro obs diff DIR`` compares the two most recent traced sweeps
-    persisted in the warehouse tier by tier (pick explicit sweeps with
-    ``--stamps A B`` from ``repro metrics history``); ``repro obs
-    tiers DIR`` renders one sweep's wall-clock attribution by span
-    self-time.  ``repro obs tail RUN_DIR`` replays (or with
-    ``--follow`` streams) a live sweep's progress events; ``repro obs
-    top RUN_DIR`` shows per-worker heartbeat state.
-    """
-    if args.action == "tail":
-        return _obs_tail(args)
-    if args.action == "top":
-        return _obs_top(args)
-    from .obs.analyze import diff_sweeps, tier_attribution
-
-    store = _results_store(args.directory)
-    if args.action == "tiers":
-        rows = tier_attribution(store, stamp=args.stamp)
-        if not rows:
-            print("no span telemetry persisted (run a traced sweep "
-                  "with a warehouse first)")
-            return 0
-        print(
-            format_table(
-                ("tier", "self", "calls", "share"),
-                [
-                    (
-                        r["name"], f"{r['seconds'] * 1e3:.3f}ms",
-                        r["calls"], f"{r['share'] * 100:.1f}%",
-                    )
-                    for r in rows
-                ],
-            )
-        )
-        return 0
-    stamp_a, stamp_b = args.a, args.b
-    if args.stamps is not None:
-        stamp_a, stamp_b = args.stamps
-    try:
-        rows = diff_sweeps(store, stamp_a=stamp_a, stamp_b=stamp_b)
-    except ValueError as exc:
-        raise SystemExit(f"obs diff: {exc}")
-    print(
-        format_table(
-            ("kind", "name", "a", "b", "delta", "ratio"),
-            [
-                (
-                    r["kind"], r["name"], f"{r['a']:.6g}",
-                    f"{r['b']:.6g}", f"{r['delta']:+.6g}",
-                    "-" if r["ratio"] is None else f"{r['ratio']:.3f}",
-                )
-                for r in rows
-            ],
-        )
-    )
-    return 0
-
-
-def cmd_mermaid(args) -> int:
-    """Print the consistency chain's refinement lattice as mermaid."""
-    from .viz import chain_to_mermaid
-
-    alpha, chain = _chain(args)
-    task = _make_task(args.task, alpha.n)
-    print(chain_to_mermaid(chain, task, max_states=args.max_states))
-    return 0
-
-
-def cmd_report(args) -> int:
-    """Run all experiments and write JSON/CSV/Markdown reports."""
-    from .analysis import ALL_EXPERIMENTS, iter_all_experiments, write_report
-
-    total = len(ALL_EXPERIMENTS)
-    results = []
-    for result in iter_all_experiments(engine=_engine_from(args)):
-        results.append(result)
-        if args.progress:
-            verdict = "pass" if result.passed else "FAIL"
-            print(
-                f"progress: {len(results)}/{total} {result.experiment_id} "
-                f"({verdict})",
-                file=sys.stderr,
-            )
-    paths = write_report(results, args.output)
-    if getattr(args, "warehouse", None) and not args.no_warehouse:
-        # Land the pass/fail history in the warehouse so `repro results
-        # query --table experiments` serves it across report runs.
-        from .obs import clock
-        from .results import ResultsStore
-        from .results.store import EXPERIMENT_COLUMNS
-
-        store = ResultsStore(args.warehouse)
-        store.append_rows(
-            "experiments",
-            [
-                {
-                    "experiment_id": result.experiment_id,
-                    "title": result.title,
-                    "passed": result.passed,
-                    "rows": len(result.rows),
-                    # When this row was appended (epoch seconds) -- an
-                    # audit field, never an input to any computation;
-                    # read through repro.obs.clock so tests can freeze
-                    # it.
-                    "stamp": clock.now(),
-                }
-                for result in results
-            ],
-            EXPERIMENT_COLUMNS,
-        )
-        print(f"ingested {len(results)} experiment outcomes into "
-              f"{args.warehouse}")
-    failed = [r.experiment_id for r in results if not r.passed]
-    print(f"wrote {paths['json']}")
-    print(f"wrote {paths['markdown']}")
-    print(
-        f"{len(results) - len(failed)}/{len(results)} experiments pass"
-    )
-    if failed:
-        print("FAILED:", ", ".join(failed))
-        return 1
-    return 0
-
-
-def cmd_experiments(args) -> int:
-    from .analysis import iter_all_experiments
-
-    wanted = set(args.ids)
-    failed = []
-    for result in iter_all_experiments(engine=_engine_from(args)):
-        if wanted and result.experiment_id not in wanted:
-            continue
-        print(result.render())
-        print()
-        if not result.passed:
-            failed.append(result.experiment_id)
-    if failed:
-        print("FAILED:", ", ".join(failed))
-        return 1
-    return 0
-
-
-def cmd_run(args) -> int:
-    """Execute one runner job locally and print its JSON record."""
-    import json
-
-    from .runner import RunSpec, execute_run
-
-    try:
-        spec = RunSpec(
-            sizes=args.sizes,
-            model=args.model,
-            ports=args.ports,
-            task=args.task,
-            kind=args.kind,
-            t=args.t,
-            samples=args.samples,
-            replicate=args.replicate,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"run: {exc}")
-    payload = {
-        "spec": spec.to_dict(),
-        "master_seed": args.master_seed,
-        "index": 0,
-        "context": current(),
-    }
-    warehouse = _warehouse_from(args)
-    if warehouse:
-        # Same memo/merge semantics as sweeps: exact cells are served
-        # whole, sampled cells reuse memoized substream blocks and a
-        # larger --samples budget computes only the increment.
-        from .results.store import ResultsStore
-
-        payload["context"] = replace(
-            current(), results_memo=str(ResultsStore(warehouse).memo_dir)
-        )
-    if args.progress:
-        # One job, no run directory: the lightweight stderr form only.
-        print(f"progress: 0/1 {spec.job_key}", file=sys.stderr)
-    record = execute_run(payload)
-    if args.progress:
-        print(f"progress: 1/1 {spec.job_key}", file=sys.stderr)
-    # Telemetry rides next to the record fields; the printed record's
-    # bytes stay identical with tracing on or off.
-    telemetry = record.pop("telemetry", None)
-    if telemetry is not None:
-        from .obs import merge_telemetry
-
-        merge_telemetry(telemetry)
-    print(json.dumps(record, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_estimate(args) -> int:
-    """Monte-Carlo estimate of ``Pr[S(t)]`` over memoized substreams.
-
-    One-shot with ``--samples``, adaptive with ``--target-width`` (spend
-    increments until the Wilson interval is narrow enough).  With
-    ``--warehouse``, full substream blocks are served from and recorded
-    to the cross-run memo, so repeated estimates of one cell -- at any
-    mix of budgets -- never recompute a block: a warm 10k-sample cell
-    asked for 20k samples computes exactly the second 10k.
-    """
-    import json
-
-    from .analysis.montecarlo import (
-        adaptive_estimate,
-        estimate_solving_probability,
-    )
-
-    alpha = RandomnessConfiguration.from_group_sizes(args.sizes)
-    task = _make_task(args.task, alpha.n)
-    ports = None
-    if args.model == "clique":
-        ports = _make_ports(args.ports, args.sizes, args.seed)
-    context = current()
-    warehouse = _warehouse_from(args)
-    if warehouse:
-        from .results.store import ResultsStore
-
-        context = replace(
-            context, results_memo=str(ResultsStore(warehouse).memo_dir)
-        )
-    with use(context):
-        if args.target_width is not None:
-            estimate = adaptive_estimate(
-                alpha,
-                task,
-                args.t,
-                ports,
-                target_width=args.target_width,
-                confidence=args.confidence,
-                batch=args.increment,
-                max_samples=args.max_samples,
-                seed=args.seed,
-                method=args.method,
-            )
-        else:
-            estimate = estimate_solving_probability(
-                alpha,
-                task,
-                args.t,
-                ports,
-                samples=args.samples,
-                confidence=args.confidence,
-                seed=args.seed,
-                method=args.method,
-            )
-    print(
-        json.dumps(
-            {
-                "estimate": estimate.probability,
-                "interval": [estimate.low, estimate.high],
-                "confidence": estimate.confidence,
-                "successes": estimate.successes,
-                "samples": estimate.samples,
-                "t": args.t,
-                "method": args.method,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    """Expand a sweep, execute it on the chosen engine, print the table."""
-    from .runner import SweepSpec, run_sweep
-
-    if (args.shapes is None) == (args.n is None):
-        raise SystemExit("sweep needs exactly one of --n or --shapes")
-    shapes = (
-        tuple(enumerate_size_shapes(args.n))
-        if args.n is not None
-        else tuple(args.shapes)
-    )
-    try:
-        sweep = SweepSpec(
-            shapes=shapes,
-            models=tuple(args.models),
-            ports=tuple(args.ports),
-            tasks=tuple(args.tasks),
-            kind=args.kind,
-            t=args.t,
-            samples=args.samples,
-            replicates=tuple(range(args.replicates)),
-            master_seed=args.master_seed,
-        )
-        # run_sweep expands first, so a bad --tasks spec or a run-dir
-        # manifest mismatch both surface here before any job executes.
-        progress = (
-            _stderr_progress(len(sweep.expand())) if args.progress else None
-        )
-        outcome = run_sweep(
-            sweep,
-            engine=_engine_from(args),
-            run_dir=args.run_dir,
-            warehouse=_warehouse_from(args),
-            progress=progress,
-            live=_live_from(args),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"sweep: {exc}")
-    print(outcome.result().render())
-    print(
-        f"jobs: {outcome.total} total, {outcome.executed} executed, "
-        f"{outcome.resumed} resumed"
-    )
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -1298,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_task=True):
         p.add_argument("sizes", type=_parse_sizes, help="group sizes, e.g. 2,3")
-        p.add_argument(
-            "--model", choices=("blackboard", "clique"), default="blackboard"
-        )
+        p.add_argument("--model", choices=MODELS, default="blackboard")
         p.add_argument(
             "--ports",
-            choices=("adversarial", "round-robin", "random"),
+            choices=_CLI_PORT_KINDS,
             default="adversarial",
             help="port assignment for --model clique",
         )
@@ -1322,20 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     _add_backend_arg(p)
     _add_quotient_arg(p)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(module="queries")
 
     p = sub.add_parser("series", help="exact Pr[S(t)] series")
     add_common(p)
     _add_backend_arg(p)
     _add_quotient_arg(p)
     p.add_argument("--t-max", type=int, default=8)
-    p.set_defaults(func=cmd_series)
+    p.set_defaults(module="queries")
 
     p = sub.add_parser("expected-time", help="exact expected solving time")
     add_common(p)
     _add_backend_arg(p)
     _add_quotient_arg(p)
-    p.set_defaults(func=cmd_expected_time)
+    p.set_defaults(module="queries")
 
     p = sub.add_parser("phase-diagram", help="sweep all shapes of n")
     p.add_argument("n", type=int)
@@ -1348,29 +352,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_warehouse_args(p)
     _add_profile_arg(p)
     _add_progress_args(p)
-    p.set_defaults(func=cmd_phase_diagram)
+    p.set_defaults(module="runs")
 
     p = sub.add_parser("protocol", help="run an election protocol")
     add_common(p, with_task=False)
     p.add_argument("--k", type=int, default=1, help="number of leaders")
     p.add_argument("--max-rounds", type=int, default=96)
-    p.set_defaults(func=cmd_protocol)
+    p.set_defaults(module="queries")
 
     p = sub.add_parser("figures", help="render Figures 1-3 as text")
-    p.set_defaults(func=cmd_figures)
+    p.set_defaults(module="reports")
 
     p = sub.add_parser("experiments", help="run reproduction experiments")
     p.add_argument("ids", nargs="*", help="experiment ids (default: all)")
     _add_engine_args(p)
     _add_quotient_arg(p)
-    p.set_defaults(func=cmd_experiments)
+    p.set_defaults(module="reports")
 
     p = sub.add_parser(
         "run", help="execute one runner job and print its JSON record"
     )
     p.add_argument("sizes", type=_parse_sizes, help="group sizes, e.g. 2,3")
     p.add_argument(
-        "--model", choices=runner_spec.MODELS, default="blackboard"
+        "--model", choices=MODELS, default="blackboard"
     )
     p.add_argument(
         "--ports",
@@ -1386,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
             "threshold:LO,HI | teams:S1,S2,..."
         ),
     )
-    p.add_argument("--kind", choices=runner_spec.KINDS, default="exact")
+    p.add_argument("--kind", choices=KINDS, default="exact")
     p.add_argument("--t", type=int, default=4, help="horizon for --kind sample")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--replicate", type=int, default=0)
@@ -1394,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quotient_arg(p)
     _add_warehouse_args(p)
     _add_progress_args(p)
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(module="runs")
 
     p = sub.add_parser(
         "estimate",
@@ -1435,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_warehouse_args(p)
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(module="runs")
 
     p = sub.add_parser(
         "sweep", help="expand and execute a sweep (parallel, resumable)"
@@ -1450,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--models",
         nargs="+",
-        choices=runner_spec.MODELS,
-        default=runner_spec.MODELS,
+        choices=MODELS,
+        default=MODELS,
     )
     p.add_argument(
         "--ports",
@@ -1465,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=("leader",),
         help="task specs (see --task on solve)",
     )
-    p.add_argument("--kind", choices=runner_spec.KINDS, default="exact")
+    p.add_argument("--kind", choices=KINDS, default="exact")
     p.add_argument("--t", type=int, default=4, help="horizon for --kind sample")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument(
@@ -1480,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_warehouse_args(p)
     _add_profile_arg(p)
     _add_progress_args(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(module="runs")
 
     p = sub.add_parser(
         "graphs", help="anonymous-graph worst-case analysis (k=1 slice)"
@@ -1490,14 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="ring:N | path:N | star:N | clique:N | bipartite:M,N",
     )
     p.add_argument("--labeling-limit", type=int, default=1 << 16)
-    p.set_defaults(func=cmd_graphs)
+    p.set_defaults(module="queries")
 
     p = sub.add_parser(
         "mermaid", help="refinement lattice as a mermaid state diagram"
     )
     add_common(p)
     p.add_argument("--max-states", type=int, default=64)
-    p.set_defaults(func=cmd_mermaid)
+    p.set_defaults(module="queries")
 
     p = sub.add_parser(
         "chains",
@@ -1519,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--all", action="store_true", help="prune: remove every cached chain"
     )
-    p.set_defaults(func=cmd_chains)
+    p.set_defaults(module="store")
 
     p = sub.add_parser(
         "results",
@@ -1587,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None,
         help="export: write here instead of stdout",
     )
-    p.set_defaults(func=cmd_results)
+    p.set_defaults(module="store")
 
     p = sub.add_parser(
         "report", help="run all experiments and write JSON/CSV/Markdown"
@@ -1598,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_warehouse_args(p)
     _add_profile_arg(p)
     _add_progress_args(p)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(module="reports")
 
     p = sub.add_parser(
         "obs",
@@ -1640,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll", type=float, default=1.0,
         help="tail --follow: poll interval in seconds (default 1)",
     )
-    p.set_defaults(func=cmd_obs)
+    p.set_defaults(module="store")
 
     p = sub.add_parser(
         "metrics", help="show/export collected telemetry; cross-run history"
@@ -1686,9 +690,22 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None,
         help="export: write JSON here instead of stdout",
     )
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(module="store")
 
     return parser
+
+
+def _record_startup(tracer, ready: float) -> None:
+    """Record the process's start-up -- imports, argument parsing and
+    the command module's import -- as one finished ``startup`` span,
+    from the top of ``repro/__init__`` to ``ready``."""
+    from . import _STARTED
+    from .obs.trace import Span
+
+    span = Span("startup")
+    span.started = _STARTED
+    span.duration = ready - _STARTED
+    tracer.adopt([span])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1720,13 +737,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             else "on" if args.quotient else "off"
         )
     with use(replace(current(), **changes)):
+        module = importlib.import_module(f"repro.commands.{args.module}")
+        command = getattr(module, "cmd_" + args.command.replace("-", "_"))
         from .obs import OBS, trace
 
         if OBS.enabled:
+            ready = time.perf_counter()
             with trace(f"repro.{args.command}"):
-                status = args.func(args)
+                status = command(args)
+            # Recorded once the command is done: a serial sweep drains
+            # and re-adopts the finished spans under its own.
+            _record_startup(OBS.tracer, ready)
         else:
-            status = args.func(args)
+            status = command(args)
         if profile_out:
             import json
 

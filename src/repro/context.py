@@ -19,6 +19,24 @@ import os
 #: Valid quotient-compilation modes (see :func:`repro.chain.resolve_quotient`).
 QUOTIENT_MODES = ("off", "auto", "on")
 
+# The closed vocabularies of the other options that pick a route.  They
+# are defined here, in a module that imports nothing heavy, so the CLI
+# parser offers them as ``choices`` without loading the tier that reads
+# them; that tier re-exports its tuple.
+
+#: Chain arithmetic backends (re-exported as ``repro.chain.BACKENDS``).
+BACKENDS = ("exact", "float")
+#: Execution engines (re-exported as ``repro.runner.ENGINE_NAMES``).
+ENGINE_NAMES = ("serial", "process")
+#: Communication models a job may target (``repro.runner.spec.MODELS``).
+MODELS = ("blackboard", "clique")
+#: Port-assignment kinds for the clique model ("none" marks blackboard
+#: jobs, where ports are meaningless and normalized away).
+PORT_KINDS = ("adversarial", "round-robin", "random", "none")
+#: What a job computes: the exact eventual-solvability limit, or a
+#: Monte-Carlo estimate of ``Pr[S(t)]`` at a finite horizon.
+KINDS = ("exact", "sample")
+
 
 @dataclasses.dataclass(frozen=True)
 class Context:
@@ -92,4 +110,16 @@ def on_enter(hook):
     return hook
 
 
-__all__ = ["Context", "QUOTIENT_MODES", "current", "on_enter", "update", "use"]
+__all__ = [
+    "BACKENDS",
+    "Context",
+    "ENGINE_NAMES",
+    "KINDS",
+    "MODELS",
+    "PORT_KINDS",
+    "QUOTIENT_MODES",
+    "current",
+    "on_enter",
+    "update",
+    "use",
+]

@@ -39,9 +39,9 @@ Telemetry never enters job records: workers attach their drained
 snapshot *next to* the record payload, the sweep orchestrator pops and
 folds it before records are persisted, and record bytes are identical
 with tracing on or off.  This package imports nothing from the rest of
-``repro`` at module level but the dependency-free :mod:`repro.context`,
-so any tier can instrument itself without import cycles.  See
-``OBS.md`` for the instrumentation map.
+``repro`` at module level but the dependency-free :mod:`repro.context`
+(and :mod:`repro._lazy`), so any tier can instrument itself without
+import cycles.  See ``OBS.md`` for the instrumentation map.
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ from __future__ import annotations
 import os
 
 from .clock import now
-from .live import (
-    LIVE,
-    HeartbeatEmitter,
-    LiveConfig,
-    SweepMonitor,
-    monitored_map,
-)
 from .metrics import (
     MetricsRegistry,
     bin_edges,
@@ -71,9 +64,21 @@ from .profile import (
     span_aggregates,
     telemetry_rows,
 )
-from .. import context as _context
+from .. import _lazy, context as _context
 from . import trace as _trace_module
 from .trace import Span, TRACER, Tracer, trace
+
+# The live tier (heartbeats, progress log, watchdog) loads on first use:
+# only pooled sweeps and their workers reach it.
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".live": (
+        "LIVE",
+        "HeartbeatEmitter",
+        "LiveConfig",
+        "SweepMonitor",
+        "monitored_map",
+    ),
+})
 
 
 class Observability:

@@ -25,24 +25,28 @@ sweep fast; this package is the storage/serving tier that makes the
 See ``STORE.md`` for the on-disk schema and the memo key derivation.
 """
 
-from .log import AppendLog
-from .memo import (
-    QueryMemo,
-    decode_value,
-    encode_value,
-    query_memo,
-    query_token,
-    task_token,
-)
-from .query import Table, col
-from .store import (
-    RECORD_COLUMNS,
-    ResultsStore,
-    SegmentInfo,
-    flatten_record,
-    source_id,
-    unflatten_row,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".log": ("AppendLog",),
+    ".memo": (
+        "QueryMemo",
+        "decode_value",
+        "encode_value",
+        "query_memo",
+        "query_token",
+        "task_token",
+    ),
+    ".query": ("Table", "col"),
+    ".store": (
+        "RECORD_COLUMNS",
+        "ResultsStore",
+        "SegmentInfo",
+        "flatten_record",
+        "source_id",
+        "unflatten_row",
+    ),
+})
 
 __all__ = [
     "AppendLog",

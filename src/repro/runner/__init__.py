@@ -30,31 +30,31 @@ See ``RUNNER.md`` at the repository root for the grammar, the seed
 scheme, and the run-directory layout.
 """
 
-from .engines import (
-    ENGINE_NAMES,
-    ExecutionEngine,
-    ProcessPoolEngine,
-    SerialEngine,
-    make_engine,
-)
-from .persistence import RunDirectory
-from .spec import (
-    KINDS,
-    MODELS,
-    PORT_KINDS,
-    RunSpec,
-    SweepSpec,
-    derive_seed,
-    make_ports,
-    make_task,
-    parse_sizes,
-)
-from .sweep import SweepOutcome, aggregate_records, run_sweep
-from .worker import (
-    execute_experiment,
-    execute_port_chunk,
-    execute_run,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".engines": (
+        "ENGINE_NAMES",
+        "ExecutionEngine",
+        "ProcessPoolEngine",
+        "SerialEngine",
+        "make_engine",
+    ),
+    ".persistence": ("RunDirectory",),
+    ".spec": (
+        "KINDS",
+        "MODELS",
+        "PORT_KINDS",
+        "RunSpec",
+        "SweepSpec",
+        "derive_seed",
+        "make_ports",
+        "make_task",
+        "parse_sizes",
+    ),
+    ".sweep": ("SweepOutcome", "aggregate_records", "run_sweep"),
+    ".worker": ("execute_experiment", "execute_port_chunk", "execute_run"),
+})
 
 __all__ = [
     "ENGINE_NAMES",

@@ -25,6 +25,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator
 
+from ..context import ENGINE_NAMES
+
 
 class ExecutionEngine(abc.ABC):
     """Maps a worker function over payloads, preserving payload order."""
@@ -161,10 +163,6 @@ class ProcessPoolEngine(ExecutionEngine):
             except OSError:  # pragma: no cover - already gone
                 pass
         return bool(processes)
-
-
-#: CLI spellings of the built-in engines.
-ENGINE_NAMES = ("serial", "process")
 
 
 def make_engine(

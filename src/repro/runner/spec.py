@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
+from ..context import KINDS, MODELS, PORT_KINDS
 from ..core import (
     k_leader_election,
     leader_and_deputy,
@@ -39,15 +40,6 @@ from ..models import (
     round_robin_assignment,
 )
 from ..randomness import enumerate_size_shapes
-
-#: Communication models a job may target.
-MODELS = ("blackboard", "clique")
-#: Port-assignment kinds for the clique model ("none" marks blackboard
-#: jobs, where ports are meaningless and normalized away).
-PORT_KINDS = ("adversarial", "round-robin", "random", "none")
-#: What a job computes: the exact eventual-solvability limit, or a
-#: Monte-Carlo estimate of ``Pr[S(t)]`` at a finite horizon.
-KINDS = ("exact", "sample")
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:

@@ -24,6 +24,11 @@ import functools
 from fractions import Fraction
 
 from ..chain import CompiledChain, Query, compile_chain, run_queries
+
+# ``compile_chain`` imports these on first use; importing them with the
+# worker module loads them in the parent before a pool forks, so the
+# workers do not each pay for them.
+from ..chain import cache as _cache, quotient as _quotient  # noqa: F401
 from ..context import use
 from ..core.tasks import SymmetryBreakingTask
 from ..obs import LIVE, OBS, drain_telemetry, trace

@@ -76,25 +76,6 @@ class TestFamilies:
         topology = GraphTopology.from_networkx(nx.cycle_graph(4))
         assert len(topology.edges()) == 4
 
-    def test_cli_import_leaves_networkx_unloaded(self):
-        """networkx is imported by the interop helpers, not at startup."""
-        import os
-        import pathlib
-        import subprocess
-        import sys
-
-        src = pathlib.Path(__file__).resolve().parents[2] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        probe = (
-            "import sys, repro.cli; repro.cli.build_parser(); "
-            "print('networkx' in sys.modules)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, env=env, timeout=60, check=True,
-        )
-        assert out.stdout.strip() == "False"
-
 
 class TestPortsAndLabelings:
     def test_port_to_inverts_neighbour(self):

@@ -146,12 +146,13 @@ class TestCommands:
         assert capsys.readouterr().out == series_full
 
     def test_quotient_flag_sets_the_commands_mode(self, monkeypatch):
-        from repro import cli
         from repro.chain import quotient_mode
+        from repro.commands import queries
 
         seen = []
         monkeypatch.setattr(
-            cli, "cmd_solve", lambda args: seen.append(quotient_mode()) or 0
+            queries, "cmd_solve",
+            lambda args: seen.append(quotient_mode()) or 0,
         )
         assert main(["solve", "1,1", "--quotient"]) == 0
         assert main(["solve", "1,1", "--no-quotient"]) == 0

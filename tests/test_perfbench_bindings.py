@@ -48,3 +48,34 @@ def test_method_target_is_defined_on_its_class(module, cls, attr, span):
     # The traced run replaces ``cls.__dict__[attr]``: an inherited
     # method would not do.
     assert callable(vars(getattr(importlib.import_module(module), cls))[attr])
+
+
+def test_traced_oneshot_records_the_lazily_imported_layers(tmp_path):
+    """A late import must bind the wrapped entry points, not the originals.
+
+    ``traced.py`` wraps its targets right after ``import repro.cli``,
+    and the command's own modules load later, at dispatch; a module that
+    bound an unwrapped name would leave its layer's spans out of the
+    trace.
+    """
+    import json
+    import os
+    import subprocess
+    import sys
+
+    root = TRACED.parents[1]
+    out = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("REPRO_TRACE", None)
+    run = subprocess.run(
+        [sys.executable, str(TRACED), str(out), "--",
+         "solve", "2,3", "--model", "clique"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert "eventually solvable: YES" in run.stdout
+    trace = json.loads(out.read_text())
+    names = [span[0] for span in trace["spans"]]
+    assert names.count("chain.compile") >= 1
+    assert names.count("chain.query") >= 1
+    assert trace["metrics"]["counters"]["chain.compile.miss"] >= 1
